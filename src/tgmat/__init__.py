@@ -34,7 +34,6 @@ from .spin import (
 from .tensor import (
     DenseTensor,
     GeneratedMatrix,
-    RowStats,
     build_tensor,
     classify_symmetry,
     contract,
@@ -44,11 +43,8 @@ from .tensor import (
     poly_value,
     poly_values,
     representation_matrix,
-    row_stats,
-    row_sum,
     row_sums,
     s_matrix,
-    s_stat,
     scale_tensor,
     tensor_from_json,
     tensor_to_json,

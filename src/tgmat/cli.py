@@ -71,18 +71,12 @@ def _emit(lines, output):
 def cmd_gen_matrix(args) -> int:
     t = _load_tensor(args.input)
     G = tz.generated_matrix(t)
-    S = tz.s_matrix(t)
-    r = tz.row_sums(t)
-    d = np.abs(tz.diagonal(t))
-    P = S.sum(axis=1) - np.diag(S)
     lines = [f"order,{t.order}", f"dim,{t.dim}", "matrix"]
     lines += [_fmt_vec(row) for row in G.data]
     lines.append("stats")
     lines.append("i,diag_abs,s_ii,r_i,P_i,Q_i")
     for i in range(t.dim):
-        lines.append(
-            f"{i + 1},{_fmt(d[i])},{_fmt(S[i, i])},{_fmt(r[i])},{_fmt(P[i])},{_fmt(G.col_sums[i])}"
-        )
+        lines.append(f"{i + 1}," + _fmt_vec((G.diag_abs[i], G.s_diag[i], G.r[i], G.P[i], G.Q[i])))
     _emit(lines, args.output)
     return EXIT_OK
 

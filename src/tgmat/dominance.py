@@ -17,10 +17,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import tensor as tz
+from .compare import EPS, gt
 from .errors import GammaOutOfRange
 
 __all__ = [
@@ -38,14 +37,6 @@ __all__ = [
     "is_z_tensor",
     "is_m_tensor",
 ]
-
-STRICT_EPS = 1e-12
-
-
-def strictly_greater(a: float, b: float) -> bool:
-    """a > b with a relative safety margin against roundoff certificates."""
-    return a - b > STRICT_EPS * max(1.0, abs(a), abs(b))
-
 
 @dataclass(frozen=True)
 class DominanceReport:
@@ -106,7 +97,7 @@ def _row_col_sums(M: np.ndarray):
 
 
 def _strict_rows(d, radii) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(len(d)) if strictly_greater(d[i], radii[i]))
+    return tuple(int(i) + 1 for i in np.flatnonzero(gt(d, radii)))
 
 
 def _gamma_interval(upper_pairs, lower_pairs):
@@ -127,7 +118,7 @@ def _search_gamma_linear(d, P, Q) -> Optional[float]:
         denom = pi - qi
         rhs = di - qi
         if denom == 0.0:
-            if not strictly_greater(di, qi):
+            if not gt(di, qi):
                 return None
         elif denom > 0:
             upper.append(rhs / denom)
@@ -172,10 +163,9 @@ def check_dominance(M: np.ndarray, kind: str, gamma: Optional[float] = None) -> 
             return DominanceReport("DD", _strict_rows(d, P))
         return DominanceReport(None)
     if kind == "DoublySDD":
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not strictly_greater(d[i] * d[j], P[i] * P[j]):
-                    return DominanceReport(None)
+        pairs = np.triu_indices(n, 1)
+        if not gt(np.outer(d, d)[pairs], np.outer(P, P)[pairs]).all():
+            return DominanceReport(None)
         return DominanceReport("DoublySDD", tuple(range(1, n + 1)))
     if kind == "GammaSDD":
         if gamma is None:
@@ -185,7 +175,7 @@ def check_dominance(M: np.ndarray, kind: str, gamma: Optional[float] = None) -> 
         elif not 0.0 <= gamma <= 1.0:
             raise GammaOutOfRange(f"gamma {gamma} outside [0, 1]")
         radii = gamma * P + (1.0 - gamma) * Q
-        if all(strictly_greater(di, ri) for di, ri in zip(d, radii)):
+        if gt(d, radii).all():
             return DominanceReport("GammaSDD", _strict_rows(d, radii), gamma)
         return DominanceReport(None, gamma=gamma)
     if kind == "ProductGammaSDD":
@@ -196,38 +186,10 @@ def check_dominance(M: np.ndarray, kind: str, gamma: Optional[float] = None) -> 
         elif not 0.0 <= gamma <= 1.0:
             raise GammaOutOfRange(f"gamma {gamma} outside [0, 1]")
         radii = np.power(P, gamma) * np.power(Q, 1.0 - gamma)
-        if all(strictly_greater(di, ri) for di, ri in zip(d, radii)):
+        if gt(d, radii).all():
             return DominanceReport("ProductGammaSDD", _strict_rows(d, radii), gamma)
         return DominanceReport(None, gamma=gamma)
     raise ValueError(f"unknown dominance kind {kind!r}")
-
-
-def _power_radius_nonneg(J: np.ndarray, max_iter: int = 500, tol: float = 1e-12):
-    """Spectral radius of a nonnegative matrix by power iteration.
-
-    Iterates with J + I (same Perron vector, radius shifted by one), which
-    removes cyclic stagnation; restarts once from a perturbed vector if the
-    ratio has not settled.
-    """
-    n = J.shape[0]
-    if n == 0:
-        return 0.0, True
-    shifted = J + np.eye(n)
-    x = np.ones(n) / n
-    for attempt in range(2):
-        lam_prev = None
-        for _ in range(max_iter):
-            y = shifted @ x
-            lam = y.sum()  # x is 1-normalised and positive
-            if lam <= 0:
-                return 0.0, True
-            x = y / lam
-            if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-                return lam - 1.0, True
-            lam_prev = lam
-        x = np.ones(n) + 0.01 * np.arange(1, n + 1) / n
-        x /= x.sum()
-    return (lam_prev if lam_prev is not None else 1.0) - 1.0, False
 
 
 def is_h_matrix(M: np.ndarray) -> HMatrixResult:
@@ -247,14 +209,9 @@ def is_h_matrix(M: np.ndarray) -> HMatrixResult:
         return HMatrixResult(False, None, None, f"nonpositive diagonal in row {bad}")
     N = np.abs(M).astype(float)
     np.fill_diagonal(N, 0.0)
-    J = N / d[:, None]
-    rho, converged = _power_radius_nonneg(J)
-    if not converged:
-        note = "power iteration did not settle"
-    else:
-        note = ""
+    rho = float(np.max(np.abs(np.linalg.eigvals(N / d[:, None]))))
     if rho >= 1.0 - 1e-10:
-        return HMatrixResult(False, None, rho, note or f"jacobi radius {rho:.6f} not below threshold")
+        return HMatrixResult(False, None, rho, f"jacobi radius {rho:.6f} not below threshold")
     C = comparison_matrix(M)
     try:
         x = np.linalg.solve(C, np.ones(n))
@@ -262,23 +219,35 @@ def is_h_matrix(M: np.ndarray) -> HMatrixResult:
         return HMatrixResult(False, None, rho, "comparison matrix is singular")
     if np.any(x <= 0.0):
         return HMatrixResult(False, None, rho, "solved scaling not entrywise positive")
-    scaled_off = N * x[None, :]
-    for i in range(n):
-        if not strictly_greater(d[i] * x[i], scaled_off[i].sum()):
-            return HMatrixResult(False, None, rho, f"scaled dominance fails in row {i + 1}")
-    return HMatrixResult(True, x, rho, note)
+    failing = np.flatnonzero(~gt(d * x, (N * x[None, :]).sum(axis=1)))
+    if failing.size:
+        return HMatrixResult(False, None, rho, f"scaled dominance fails in row {failing[0] + 1}")
+    return HMatrixResult(True, x, rho)
+
+
+def _off_diagonal_edges(M: np.ndarray) -> np.ndarray:
+    """Adjacency of the digraph with an edge i -> j when i != j and m_ij != 0."""
+    adj = np.asarray(M) != 0
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def _reachable(adj: np.ndarray, start) -> np.ndarray:
+    """Mask of the nodes reachable from the ``start`` nodes along the edges of ``adj``."""
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[start] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return seen
 
 
 def is_irreducible(M: np.ndarray) -> bool:
     """True when the digraph with edges i -> j (i != j, m_ij != 0) is strongly connected."""
-    M = np.asarray(M)
-    n = M.shape[0]
-    if n == 1:
-        return True
-    adj = (M != 0).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
-    return ncomp == 1
+    adj = _off_diagonal_edges(M)
+    # strongly connected iff node 1 reaches every node and every node reaches node 1
+    return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
 
 
 def is_weakly_irreducible(t: tz.DenseTensor) -> bool:
@@ -306,21 +275,9 @@ def is_weakly_chained_dd(t: tz.DenseTensor) -> bool:
     J = {i - 1 for i in rep.strict_rows}
     if len(J) == n:
         return True
-    R = tz.representation_matrix(t)
-    adj = R != 0
-    np.fill_diagonal(adj, False)
-    # breadth-first search on reversed edges, starting from J
-    reach = set(J)
-    frontier = list(J)
-    while frontier:
-        nxt = []
-        for j in frontier:
-            for i in np.flatnonzero(adj[:, j]):
-                if i not in reach:
-                    reach.add(int(i))
-                    nxt.append(int(i))
-        frontier = nxt
-    return len(reach) == n
+    # every row has a walk into J iff J reaches every row along reversed edges
+    adj = _off_diagonal_edges(tz.representation_matrix(t))
+    return bool(_reachable(adj.T, sorted(J)).all())
 
 
 def _tensor_residuals(t: tz.DenseTensor, y: np.ndarray) -> np.ndarray:
@@ -338,8 +295,7 @@ def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndar
     y = np.power(x, 1.0 / (t.order - 1))
     res = _tensor_residuals(t, y)
     scale = np.abs(tz.diagonal(t)) * y ** (t.order - 1)
-    ok = all(r > STRICT_EPS * max(1.0, s) for r, s in zip(res, scale))
-    if not ok:
+    if not np.all(res > EPS * np.maximum(1.0, scale)):
         return Certificate("certified_H", rule, gamma, None, None, note + " (scaling dropped: slack not strict)")
     return Certificate("certified_H", rule, gamma, y, res, note)
 
@@ -354,39 +310,28 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
     from the H-matrix solve (or is all-ones for SDD).
     """
     G = tz.generated_matrix(t)
-    d = np.abs(tz.diagonal(t))
-    s_ii = np.array([tz.s_matrix(t)[i, i] for i in range(t.dim)])
-    degenerate = [i + 1 for i in range(t.dim) if d[i] <= s_ii[i]]
-    note = ""
+    degenerate = [i + 1 for i in range(t.dim) if G.diag_abs[i] <= G.s_diag[i]]
     if degenerate:
         note = f"rows {degenerate} have |a_ii...i| <= s_ii; matrix rules skipped"
-    else:
-        rep = check_dominance(G.data, "SDD")
+        if is_weakly_chained_dd(t):
+            return _attach_certificate(t, "WeaklyChainedDD", None, is_h_matrix(G.data).scaling, note)
+        return Certificate("not_certified", note=note)
+    if check_dominance(G.data, "SDD").kind:
+        return _attach_certificate(t, "SDD", None, np.ones(t.dim))
+    # the H-matrix solve supplies the scaling for every later rule; None when it fails
+    x = is_h_matrix(G.data).scaling
+    for kind in ("DoublySDD", "GammaSDD", "ProductGammaSDD"):
+        rep = check_dominance(G.data, kind)
         if rep.kind:
-            return _attach_certificate(t, "SDD", None, np.ones(t.dim))
-        rep = check_dominance(G.data, "DoublySDD")
-        if rep.kind:
-            return _attach_certificate(t, "DoublySDD", None, _scaling_or_none(G))
-        rep = check_dominance(G.data, "GammaSDD")
-        if rep.kind:
-            return _attach_certificate(t, "GammaSDD", rep.gamma, _scaling_or_none(G))
-        rep = check_dominance(G.data, "ProductGammaSDD")
-        if rep.kind:
-            return _attach_certificate(t, "ProductGammaSDD", rep.gamma, _scaling_or_none(G))
-        hres = is_h_matrix(G.data)
-        if hres.is_h:
-            return _attach_certificate(t, "GeneralizedH", None, hres.scaling)
-        dd = check_dominance(G.data, "DD")
-        if dd.kind and dd.strict_rows and is_irreducible(G.data):
-            return _attach_certificate(t, "IrreducibleDD", None, _scaling_or_none(G))
+            return _attach_certificate(t, kind, rep.gamma, x)
+    if x is not None:
+        return _attach_certificate(t, "GeneralizedH", None, x)
+    dd = check_dominance(G.data, "DD")
+    if dd.kind and dd.strict_rows and is_irreducible(G.data):
+        return _attach_certificate(t, "IrreducibleDD", None, None)
     if is_weakly_chained_dd(t):
-        return _attach_certificate(t, "WeaklyChainedDD", None, _scaling_or_none(G), note)
-    return Certificate("not_certified", note=note or "no sufficient condition fired")
-
-
-def _scaling_or_none(G: tz.GeneratedMatrix) -> Optional[np.ndarray]:
-    hres = is_h_matrix(G.data)
-    return hres.scaling if hres.is_h else None
+        return _attach_certificate(t, "WeaklyChainedDD", None, None)
+    return Certificate("not_certified", note="no sufficient condition fired")
 
 
 def is_z_tensor(t: tz.DenseTensor) -> bool:

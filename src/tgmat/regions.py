@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tz
+from .compare import gt, leq
 from .errors import BadGrid, BadSubset, EmptyRegion, GammaOutOfRange, WrongDimension
 
 __all__ = ["Region", "RealBounds", "KINDS", "build_region", "membership", "real_bounds", "grid_sample"]
@@ -32,16 +33,20 @@ _PAIR_KINDS = ("cassini", "stype", "ssingleton")
 
 @dataclass(frozen=True)
 class Region:
-    """Cached statistics for one inclusion region of one tensor."""
+    """One inclusion region of one tensor, with every part of its test that does not depend on z.
+
+    ``stats`` is the tensor's generated-matrix record.  ``radius`` is the
+    per-row disc radius of the disc kinds; ``rS`` and ``rC`` split each P_i
+    into its mass on the subset S and on the complement for 'stype'.
+    """
 
     kind: str
-    centers: np.ndarray
-    s_diag: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    s_matrix: np.ndarray
+    stats: tz.GeneratedMatrix
     gamma: Optional[float] = None
     subset: Optional[tuple[int, ...]] = None  # 1-based, sorted
+    radius: Optional[np.ndarray] = None
+    rS: Optional[np.ndarray] = None
+    rC: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -75,32 +80,25 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
         sub = tuple(sorted(set(int(i) for i in subset)))
         if not sub or len(sub) >= n or any(not 1 <= i <= n for i in sub):
             raise BadSubset(f"subset {subset} is not a nonempty proper subset of 1..{n}")
-    S = tz.s_matrix(t)
-    centers = tz.diagonal(t)
-    s_diag = np.diag(S).copy()
-    P = S.sum(axis=1) - s_diag
-    off = S.copy()
-    np.fill_diagonal(off, 0.0)
-    Q = off.sum(axis=0)
-    return Region(kind, centers, s_diag, P, Q, S, gamma, sub)
-
-
-_EPS = 1e-12
-
-
-def _leq(a, b):
-    """Closure-tolerant a <= b; boundary points stay inside across roundoff."""
-    return a - b <= _EPS * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-
-
-def _gt(a, b):
-    """Strict a > b with the matching margin (used only to exclude points)."""
-    return a - b > _EPS * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    G = tz.generated_matrix(t)
+    P, Q, S = G.P, G.Q, G.S
+    radius = rS = rC = None
+    if kind == "gershgorin":
+        radius = P
+    elif kind == "ostrowski":
+        radius = np.power(P, gamma) * np.power(Q, 1.0 - gamma)
+    elif kind == "gammamix":
+        radius = gamma * P + (1.0 - gamma) * Q
+    elif kind == "stype":
+        sub0 = [i - 1 for i in sub]
+        rS = np.array([S[i, sub0].sum() - (S[i, i] if i in sub0 else 0.0) for i in range(n)])
+        rC = P - rS
+    return Region(kind, G, gamma, sub, radius, rS, rC)
 
 
 def _f(region: Region, z: np.ndarray) -> np.ndarray:
     """f_i(z) = |z - a_{i...i}| - s_ii, shape (..., n)."""
-    return np.abs(z[..., None] - region.centers) - region.s_diag
+    return np.abs(z[..., None] - region.stats.diagonal) - region.stats.s_diag
 
 
 def membership(region: Region, z) -> bool | np.ndarray:
@@ -115,22 +113,15 @@ def membership(region: Region, z) -> bool | np.ndarray:
 def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
     kind = region.kind
     f = _f(region, z)
-    P, Q, S = region.P, region.Q, region.s_matrix
-    n = len(region.centers)
-    if kind == "gershgorin":
-        return _leq(f, P).any(axis=-1)
-    if kind == "ostrowski":
-        radius = np.power(P, region.gamma) * np.power(Q, 1.0 - region.gamma)
-        return _leq(f, radius).any(axis=-1)
-    if kind == "gammamix":
-        radius = region.gamma * P + (1.0 - region.gamma) * Q
-        return _leq(f, radius).any(axis=-1)
+    P, S, n = region.stats.P, region.stats.S, region.stats.dim
+    if region.radius is not None:
+        return leq(f, region.radius).any(axis=-1)
     if kind == "cassini":
         member = np.zeros(z.shape, dtype=bool)
         for i in range(n):
             for j in range(i + 1, n):
                 fi, fj = f[..., i], f[..., j]
-                excluded = _gt(fi, 0.0) & _gt(fj, 0.0) & _gt(fi * fj, P[i] * P[j])
+                excluded = gt(fi, 0.0) & gt(fj, 0.0) & gt(fi * fj, P[i] * P[j])
                 member |= ~excluded
         return member
     # For the split-sum kinds the outer absolute value g = |f| widens the
@@ -143,16 +134,15 @@ def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
     if kind == "stype":
         sub0 = [i - 1 for i in region.subset]
         comp0 = [j for j in range(n) if j + 1 not in region.subset]
-        rS = np.array([S[i, sub0].sum() - (S[i, i] if i in sub0 else 0.0) for i in range(n)])
-        rC = P - rS
+        rS, rC = region.rS, region.rC
         member = np.zeros(z.shape, dtype=bool)
         for i in sub0:
-            member |= _leq(g[..., i], rS[i])
+            member |= leq(g[..., i], rS[i])
         for i in sub0:
             for j in comp0:
                 bi = f[..., i] - rS[i]
                 bj = f[..., j] - rC[j]
-                excluded = _gt(bi, 0.0) & _gt(bj, 0.0) & _gt(bi * bj, rC[i] * rS[j])
+                excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rC[i] * rS[j])
                 member |= ~excluded
         return member
     if kind == "ssingleton":
@@ -163,7 +153,7 @@ def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
                     continue
                 bi = f[..., i]
                 bj = f[..., j] - (P[j] - S[j, i])
-                excluded = _gt(bi, 0.0) & _gt(bj, 0.0) & _gt(bi * bj, P[i] * S[j, i])
+                excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, P[i] * S[j, i])
                 member |= ~excluded
         return member
     raise ValueError(f"unknown region kind {kind!r}")
@@ -171,8 +161,9 @@ def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
 
 def _enclosing_interval(region: Region) -> tuple[float, float]:
     # outside this interval every membership branch fails by the triangle inequality
-    R = float(np.max(region.s_diag + np.maximum(region.P, region.Q))) + 1.0
-    return float(np.min(region.centers)) - R, float(np.max(region.centers)) + R
+    G = region.stats
+    R = float(np.max(G.s_diag + np.maximum(G.P, G.Q))) + 1.0
+    return float(np.min(G.diagonal)) - R, float(np.max(G.diagonal)) + R
 
 
 def real_bounds(region: Region, tol: float = 1e-6) -> RealBounds:
@@ -185,7 +176,7 @@ def real_bounds(region: Region, tol: float = 1e-6) -> RealBounds:
     """
     lo_enc, hi_enc = _enclosing_interval(region)
     xs = np.linspace(lo_enc, hi_enc, 4097)
-    xs = np.unique(np.concatenate([xs, region.centers.astype(float)]))
+    xs = np.unique(np.concatenate([xs, region.stats.diagonal.astype(float)]))
     mem = membership(region, xs.astype(complex))
     hits = np.flatnonzero(mem)
     if hits.size == 0:

@@ -231,8 +231,8 @@ def certify_classicality(state: SpinState) -> ClassicalityVerdict:
     if state.m % 2 == 1:
         return ClassicalityVerdict("inconclusive", reason=f"odd order 2j = {state.m} (j is not an integer)")
     coeff = coefficient_tensor(state)
-    diag = tz.diagonal(coeff)
     G = tz.generated_matrix(coeff)
+    diag = G.diagonal
     symmetry = tz.classify_symmetry(coeff)
     if np.min(diag) < -1e-12:
         return ClassicalityVerdict(
@@ -246,9 +246,8 @@ def certify_classicality(state: SpinState) -> ClassicalityVerdict:
             "inconclusive", reason=f"H-tensor cascade inconclusive ({cert.note})",
             symmetry=symmetry, diagonal=diag, generated=G.data, certificate=cert,
         )
-    s_diag = np.diag(tz.s_matrix(coeff))
     rule = "symmetric_H"
-    if symmetry == "strongly_symmetric" and np.all(np.abs(diag) >= s_diag):
+    if symmetry == "strongly_symmetric" and np.all(G.diag_abs >= G.s_diag):
         rule = "strongly_symmetric_H"
     return ClassicalityVerdict(
         "certified_classical", rule=rule, symmetry=symmetry,

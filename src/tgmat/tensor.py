@@ -37,16 +37,12 @@ from .errors import (
 __all__ = [
     "DenseTensor",
     "GeneratedMatrix",
-    "RowStats",
     "build_tensor",
     "unit_tensor",
     "zero_tensor",
     "diagonal",
-    "s_stat",
     "s_matrix",
-    "row_sum",
     "row_sums",
-    "row_stats",
     "generated_matrix",
     "representation_matrix",
     "classify_symmetry",
@@ -87,33 +83,36 @@ class DenseTensor:
 
 
 @dataclass(frozen=True)
-class RowStats:
-    """Row statistics of one tensor row (1-based index ``i``)."""
-
-    i: int
-    s_row: np.ndarray
-    r: float
-    P: float
-    diag_abs: float
-
-
-@dataclass(frozen=True)
 class GeneratedMatrix:
-    """The n x n matrix generated by a tensor.
+    """The n x n matrix generated by a tensor, with the statistics behind it.
 
-    ``data[i, j]`` is |a_{i...i}| - s_ii on the diagonal and s_ij off it;
-    ``col_sums[i]`` is the deleted column sum Q_i = sum_{j != i} data[j, i].
+    ``data[i, j]`` is |a_{i...i}| - s_ii on the diagonal and s_ij off it.
+    ``diagonal`` holds the signed a_{i...i} and ``diag_abs`` their moduli;
+    ``S`` is the matrix of all s_ij and ``s_diag`` its diagonal.  ``P`` and
+    ``Q`` are the deleted row and column sums of S (and of ``data``), and
+    ``r`` the deleted row sums of the tensor, r_i = s_ii + P_i.
     """
 
     dim: int
     data: np.ndarray
-    col_sums: np.ndarray
+    diagonal: np.ndarray
+    diag_abs: np.ndarray
+    S: np.ndarray
+    s_diag: np.ndarray
+    P: np.ndarray
+    Q: np.ndarray
+    r: np.ndarray
 
 
-def _check_index(i: int, n: int) -> int:
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"index {i} outside 1..{n}")
-    return i - 1
+# largest dense tensor built from a description, in entries (128 MiB of float64)
+MAX_ENTRIES = 2 ** 24
+
+
+def _dense_zeros(order: int, dim: int) -> np.ndarray:
+    if dim ** order > MAX_ENTRIES:
+        raise TgmatError(f"a dense tensor of order {order} and dimension {dim} has "
+                         f"{dim ** order} entries, more than the limit of {MAX_ENTRIES}")
+    return np.zeros((dim,) * order)
 
 
 def build_tensor(order: int, dim: int, entries) -> DenseTensor:
@@ -127,7 +126,7 @@ def build_tensor(order: int, dim: int, entries) -> DenseTensor:
         raise TgmatError("order must be at least 2")
     if dim < 1:
         raise TgmatError("dim must be at least 1")
-    arr = np.zeros((dim,) * order)
+    arr = _dense_zeros(order, dim)
     seen = set()
     items = entries.items() if hasattr(entries, "items") else entries
     for idx, val in items:
@@ -148,14 +147,14 @@ def build_tensor(order: int, dim: int, entries) -> DenseTensor:
 
 def unit_tensor(order: int, dim: int) -> DenseTensor:
     """Tensor with ones on the diagonal tuples and zeros elsewhere."""
-    arr = np.zeros((dim,) * order)
+    arr = _dense_zeros(order, dim)
     for i in range(dim):
         arr[(i,) * order] = 1.0
     return DenseTensor(arr)
 
 
 def zero_tensor(order: int, dim: int) -> DenseTensor:
-    return DenseTensor(np.zeros((dim,) * order))
+    return DenseTensor(_dense_zeros(order, dim))
 
 
 def diagonal(t: DenseTensor) -> np.ndarray:
@@ -184,12 +183,6 @@ def s_matrix(t: DenseTensor) -> np.ndarray:
     return S
 
 
-def s_stat(t: DenseTensor, i: int, j: int) -> float:
-    """The statistic s_ij for 1-based row i and column j."""
-    n = t.dim
-    return float(s_matrix(t)[_check_index(i, n), _check_index(j, n)])
-
-
 def row_sums(t: DenseTensor) -> np.ndarray:
     """Deleted row sums r_i over all non-diagonal tuples starting at i."""
     m, n = t.order, t.dim
@@ -197,34 +190,18 @@ def row_sums(t: DenseTensor) -> np.ndarray:
     return np.array([absA[i].sum() - absA[(i,) * m] for i in range(n)])
 
 
-def row_sum(t: DenseTensor, i: int) -> float:
-    return float(row_sums(t)[_check_index(i, t.dim)])
-
-
-def row_stats(t: DenseTensor, i: int) -> RowStats:
-    k = _check_index(i, t.dim)
-    s_row = s_matrix(t)[k]
-    P = float(s_row.sum() - s_row[k])
-    return RowStats(
-        i=i,
-        s_row=s_row,
-        r=float(row_sums(t)[k]),
-        P=P,
-        diag_abs=float(abs(t.entries[(k,) * t.order])),
-    )
-
-
 def generated_matrix(t: DenseTensor) -> GeneratedMatrix:
-    """The tensor-generated matrix with cached deleted column sums."""
-    n = t.dim
+    """The tensor-generated matrix and its statistics, from one pass over the tensor."""
     S = s_matrix(t)
+    signed = diagonal(t)
+    d = np.abs(signed)
+    s_diag = np.diag(S).copy()
     data = S.copy()
-    d = np.abs(diagonal(t))
-    for i in range(n):
-        data[i, i] = d[i] - S[i, i]
-    off = data.copy()
+    np.fill_diagonal(data, d - s_diag)
+    off = S.copy()
     np.fill_diagonal(off, 0.0)
-    return GeneratedMatrix(dim=n, data=data, col_sums=off.sum(axis=0))
+    return GeneratedMatrix(dim=t.dim, data=data, diagonal=signed, diag_abs=d, S=S, s_diag=s_diag,
+                           P=S.sum(axis=1) - s_diag, Q=off.sum(axis=0), r=row_sums(t))
 
 
 def representation_matrix(t: DenseTensor) -> np.ndarray:
@@ -353,6 +330,9 @@ def scale_tensor(t: DenseTensor, d) -> DenseTensor:
 
 def _parse_value(idx, raw):
     """File-layer values: plain numbers, or [re, im] pairs reduced to moduli."""
+    # bool is an int in Python, so JSON true/false would pass as 1.0/0.0
+    if isinstance(raw, bool) or (isinstance(raw, (list, tuple)) and any(isinstance(v, bool) for v in raw)):
+        raise TgmatError(f"entry {idx}: value must be a number or an [re, im] pair, not a boolean")
     if isinstance(raw, (int, float)):
         return float(raw)
     if isinstance(raw, (list, tuple)) and len(raw) == 2:

@@ -54,6 +54,18 @@ class TestGenMatrix:
         assert code == 65
         assert "#0" in err
 
+    def test_oversized_tensor_is_data_error(self, capsys, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"order": 30, "dim": 10, "entries": []}))
+        code, out, err = run(capsys, "certify", "--input", str(p))
+        assert code == 65 and out == ""
+        assert err.startswith("tgmat: data error:") and err.count("\n") == 1
+
+    def test_boolean_value_is_data_error(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "bool.json", 2, 2, {(1, 1): True, (2, 2): True})
+        code, _, err = run(capsys, "gen-matrix", "--input", p)
+        assert code == 65 and "boolean" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "gen-matrix", "--input", "/nonexistent.json")
         assert code == 65

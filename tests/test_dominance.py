@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import boosted_diagonal_tensor, random_sparse_tensor
+from tgmat import dominance as dom
+from tgmat import tensor as tz
 from tgmat.dominance import (
     certify_h_tensor,
     check_dominance,
@@ -98,6 +100,11 @@ class TestIsHMatrix:
     def test_identity(self):
         res = is_h_matrix(np.eye(3))
         assert res.is_h and np.allclose(res.scaling, np.ones(3))
+
+    def test_triangular_has_zero_jacobi_radius(self):
+        res = is_h_matrix(np.array([[2.0, 1.0, 0.5], [0.0, 3.0, 1.0], [0.0, 0.0, 1.0]]))
+        assert res.is_h and res.note == ""
+        assert res.jacobi_radius == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_diagonal_rejected(self):
         res = is_h_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
@@ -209,6 +216,29 @@ class TestCertifyHTensor:
         cert = certify_h_tensor(t)
         assert not cert.certified
         assert "s_ii" in cert.note
+
+    @pytest.mark.parametrize("rule", ["SDD", "GammaSDD"])
+    def test_statistics_built_once(self, monkeypatch, rule):
+        if rule == "SDD":
+            t = boosted_diagonal_tensor(np.random.default_rng(26), order=4, dim=20)
+        else:
+            t = DenseTensor(np.array([[5.0, 0.0, 0.0], [2.0, 5.0, 0.0], [4.0, 4.0, 2.0]]))
+        calls = {"s_matrix": 0, "is_h_matrix": 0}
+
+        def count_calls(mod, name):
+            fn = getattr(mod, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+
+        count_calls(tz, "s_matrix")
+        count_calls(dom, "is_h_matrix")
+        cert = certify_h_tensor(t)
+        assert cert.rule == rule and cert.scaling is not None
+        assert calls["s_matrix"] == 1 and calls["is_h_matrix"] <= 1
 
     def test_certificate_scaling_verifies_definition(self):
         rng = np.random.default_rng(23)

@@ -14,15 +14,15 @@ from tgmat.tensor import diagonal, generated_matrix, row_sums, unit_tensor
 
 class TestBuildRegion:
     def test_caches_match_generated_matrix(self, t44):
-        reg = build_region(t44, "gershgorin")
+        stats = build_region(t44, "gershgorin").stats
         G = generated_matrix(t44)
-        assert np.max(np.abs(reg.Q - G.col_sums)) <= 1e-12
-        assert np.max(np.abs(reg.Q - np.array([16 / 3, 17 / 3, 19 / 3, 5]))) <= 1e-12
-        assert np.max(np.abs(np.diag(reg.s_matrix) + reg.P - row_sums(t44))) <= 1e-12
+        assert np.max(np.abs(stats.Q - G.Q)) <= 1e-12
+        assert np.max(np.abs(stats.Q - np.array([16 / 3, 17 / 3, 19 / 3, 5]))) <= 1e-12
+        assert np.max(np.abs(np.diag(stats.S) + stats.P - row_sums(t44))) <= 1e-12
 
     def test_demo_radii(self, t44):
-        reg = build_region(t44, "gershgorin")
-        radii = reg.s_diag + reg.P
+        stats = build_region(t44, "gershgorin").stats
+        radii = stats.s_diag + stats.P
         assert np.max(np.abs(radii - np.array([11.0, 7.0, 5.0, 4.0]))) <= 1e-12
 
     def test_full_subset_rejected(self, t44):

@@ -30,11 +30,8 @@ from tgmat.tensor import (
     poly_value,
     poly_values,
     representation_matrix,
-    row_stats,
-    row_sum,
     row_sums,
     s_matrix,
-    s_stat,
     scale_tensor,
     tensor_from_json,
     tensor_to_json,
@@ -69,13 +66,17 @@ class TestBuild:
         with pytest.raises(NonFiniteValue):
             build_tensor(2, 2, {(1, 1): float("nan")})
 
+    def test_dense_size_limit(self):
+        for make in (lambda: build_tensor(30, 10, {}), lambda: unit_tensor(30, 10), lambda: zero_tensor(30, 10)):
+            with pytest.raises(TgmatError, match="limit"):
+                make()
+
 
 class TestStats:
     def test_s_values_demo(self, t42):
-        assert s_stat(t42, 1, 1) == 4.0
-        assert s_stat(t42, 1, 2) == 3.0
-        assert s_stat(t42, 2, 1) == 3.0
-        assert s_stat(t42, 2, 2) == 2.0
+        G = generated_matrix(t42)
+        assert np.array_equal(G.S, np.array([[4.0, 3.0], [3.0, 2.0]]))
+        assert np.array_equal(G.s_diag, np.array([4.0, 2.0]))
 
     def test_unit_tensor_s_is_zero(self):
         t = unit_tensor(4, 3)
@@ -97,8 +98,7 @@ class TestStats:
                     assert S[i, j] == pytest.approx(brute_s_stat(t, i, j), abs=1e-12)
 
     def test_row_sum_demo(self, t42):
-        assert row_sum(t42, 1) == 7.0
-        assert row_sum(t42, 2) == 5.0
+        assert np.array_equal(generated_matrix(t42).r, np.array([7.0, 5.0]))
 
     def test_row_sum_identity(self):
         rng = np.random.default_rng(8)
@@ -111,27 +111,22 @@ class TestStats:
                 assert abs(r[i] - S[i].sum()) <= 1e-12 * max(1.0, r[i])
 
     def test_row_stats_record(self, t42):
-        st = row_stats(t42, 1)
-        assert st.diag_abs == 7.0 and st.P == 3.0 and st.r == 7.0
-        assert st.r == pytest.approx(st.s_row[0] + st.P)
-
-    def test_index_errors(self, t42):
-        with pytest.raises(IndexOutOfRange):
-            s_stat(t42, 0, 1)
-        with pytest.raises(IndexOutOfRange):
-            row_sum(t42, 3)
+        G = generated_matrix(t42)
+        assert G.diag_abs[0] == 7.0 and G.P[0] == 3.0 and G.r[0] == 7.0
+        assert np.array_equal(G.diagonal, np.array([7.0, 6.0]))
+        assert np.allclose(G.r, G.s_diag + G.P, rtol=1e-12, atol=0.0)
 
 
 class TestGeneratedMatrix:
     def test_demo_42(self, t42):
         G = generated_matrix(t42)
         assert np.array_equal(G.data, np.array([[3.0, 3.0], [3.0, 4.0]]))
-        assert np.array_equal(G.col_sums, np.array([3.0, 3.0]))
+        assert np.array_equal(G.Q, np.array([3.0, 3.0]))
 
     def test_demo_44(self, t44):
         G = generated_matrix(t44)
         assert np.max(np.abs(G.data - GEN_44)) <= 1e-12
-        assert np.max(np.abs(G.col_sums - np.array([16 / 3, 17 / 3, 19 / 3, 5]))) <= 1e-12
+        assert np.max(np.abs(G.Q - np.array([16 / 3, 17 / 3, 19 / 3, 5]))) <= 1e-12
 
     def test_unit_tensor_gives_identity(self):
         G = generated_matrix(unit_tensor(4, 3))
@@ -320,6 +315,12 @@ class TestJson:
         obj = {"order": 2, "dim": 2, "entries": [{"idx": [1, 1], "val": [1.0, 1.0]}]}
         with pytest.raises(ComplexDiagonal):
             tensor_from_json(obj)
+
+    def test_boolean_values_rejected(self):
+        for val in (True, [1.0, False]):
+            obj = {"order": 2, "dim": 2, "entries": [{"idx": [1, 2], "val": val}]}
+            with pytest.raises(TgmatError, match="boolean"):
+                tensor_from_json(obj)
 
     def test_missing_keys(self):
         with pytest.raises(TgmatError):
