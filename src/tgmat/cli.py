@@ -166,7 +166,11 @@ def cmd_region_grid(args) -> int:
     subset = tuple(args.subset) if args.subset is not None else None
     region = reg.build_region(t, kind, gamma=(args.gamma[0] if args.gamma else None), subset=subset)
     rows = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
-    lines = ["re,im,member"] + [f"{r:.9g},{i:.9g},{m}" for r, i, m in rows]
+    # rows are row-major, so the axes are the first of each block of ny and
+    # the first block; formatted by position, since -0.0 == 0.0 prints apart
+    re_text = [f"{r:.9g}" for r, _, _ in rows[::ny]]
+    im_text = [f"{i:.9g}" for _, i, _ in rows[:ny]]
+    lines = ["re,im,member"] + [f"{re_text[k // ny]},{im_text[k % ny]},{m}" for k, (_, _, m) in enumerate(rows)]
     _emit(lines, args.output)
     return EXIT_OK
 

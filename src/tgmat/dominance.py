@@ -280,21 +280,18 @@ def is_weakly_chained_dd(t: tz.DenseTensor) -> bool:
     return bool(_reachable(adj.T, sorted(J)).all())
 
 
-def _tensor_residuals(t: tz.DenseTensor, y: np.ndarray) -> np.ndarray:
-    """Per-row slack of the defining H-tensor inequality at the positive vector y."""
-    absT = tz.DenseTensor(np.abs(t.entries))
-    total = tz.contract(absT, y)
-    d = np.abs(tz.diagonal(t))
-    lhs = d * y ** (t.order - 1)
-    return 2.0 * lhs - total
+def _attach_certificate(t: tz.DenseTensor, d: np.ndarray, rule: str, gamma, x: Optional[np.ndarray],
+                        note: str = "") -> Certificate:
+    """Certify with the tensor scaling y = x^(1/(m-1)) when its slack re-checks strictly.
 
-
-def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndarray], note: str = "") -> Certificate:
+    ``d`` is |a_{i...i}|.  The slack of row i is 2 d_i y_i^(m-1) minus the
+    row's absolute contraction with y.
+    """
     if x is None:
         return Certificate("certified_H", rule, gamma, None, None, note)
     y = np.power(x, 1.0 / (t.order - 1))
-    res = _tensor_residuals(t, y)
-    scale = np.abs(tz.diagonal(t)) * y ** (t.order - 1)
+    scale = d * y ** (t.order - 1)
+    res = 2.0 * scale - tz.contract(tz.DenseTensor(np.abs(t.entries)), y)
     if not np.all(res > EPS * np.maximum(1.0, scale)):
         return Certificate("certified_H", rule, gamma, None, None, note + " (scaling dropped: slack not strict)")
     return Certificate("certified_H", rule, gamma, y, res, note)
@@ -309,28 +306,33 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
     first rule that fires is reported; the constructive scaling always comes
     from the H-matrix solve (or is all-ones for SDD).
     """
-    G = tz.generated_matrix(t)
+    return _certify_with_record(t, tz.generated_matrix(t))
+
+
+def _certify_with_record(t: tz.DenseTensor, G: tz.GeneratedMatrix) -> Certificate:
+    """``certify_h_tensor`` for a tensor whose generated-matrix record G is already built."""
+    d = G.diag_abs
     degenerate = [i + 1 for i in range(t.dim) if G.diag_abs[i] <= G.s_diag[i]]
     if degenerate:
         note = f"rows {degenerate} have |a_ii...i| <= s_ii; matrix rules skipped"
         if is_weakly_chained_dd(t):
-            return _attach_certificate(t, "WeaklyChainedDD", None, is_h_matrix(G.data).scaling, note)
+            return _attach_certificate(t, d, "WeaklyChainedDD", None, is_h_matrix(G.data).scaling, note)
         return Certificate("not_certified", note=note)
     if check_dominance(G.data, "SDD").kind:
-        return _attach_certificate(t, "SDD", None, np.ones(t.dim))
+        return _attach_certificate(t, d, "SDD", None, np.ones(t.dim))
     # the H-matrix solve supplies the scaling for every later rule; None when it fails
     x = is_h_matrix(G.data).scaling
     for kind in ("DoublySDD", "GammaSDD", "ProductGammaSDD"):
         rep = check_dominance(G.data, kind)
         if rep.kind:
-            return _attach_certificate(t, kind, rep.gamma, x)
+            return _attach_certificate(t, d, kind, rep.gamma, x)
     if x is not None:
-        return _attach_certificate(t, "GeneralizedH", None, x)
+        return _attach_certificate(t, d, "GeneralizedH", None, x)
     dd = check_dominance(G.data, "DD")
     if dd.kind and dd.strict_rows and is_irreducible(G.data):
-        return _attach_certificate(t, "IrreducibleDD", None, None)
+        return _attach_certificate(t, d, "IrreducibleDD", None, None)
     if is_weakly_chained_dd(t):
-        return _attach_certificate(t, "WeaklyChainedDD", None, None)
+        return _attach_certificate(t, d, "WeaklyChainedDD", None, None)
     return Certificate("not_certified", note="no sufficient condition fired")
 
 

@@ -8,6 +8,10 @@ a point is excluded only when every bracket that the proof needs is
 strictly positive and the product inequality fails, so boundary points and
 degenerate brackets are always included.
 
+The pair kinds test every index pair (i, j) at once: ``build_region``
+stores the pair index arrays with the z-independent offsets and right-hand
+sides, and membership broadcasts one test over (points, pairs).
+
 Real-axis bounds are extracted by a scan plus bisection shared by all
 kinds; no closed-form root formulas are used here (tests cross-check the
 dimension-2 ovals against their quadratic roots independently).
@@ -16,7 +20,7 @@ dimension-2 ovals against their quadratic roots independently).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,14 +34,33 @@ KINDS = ("gershgorin", "cassini", "ostrowski", "gammamix", "stype", "ssingleton"
 
 _PAIR_KINDS = ("cassini", "stype", "ssingleton")
 
+# points x pairs elements in one broadcast pair test; bounds the temporaries
+_CHUNK_ELEMENTS = 2 ** 13
+
+
+class _PairTest(NamedTuple):
+    """The z-independent parts of a pair kind's exclusion test.
+
+    Pair k (0-based rows ``i[k]``, ``j[k]``) excludes z when the brackets
+    b_i = f_i(z) - ``off_i[k]`` and b_j = f_j(z) - ``off_j[k]`` are both
+    strictly positive and b_i * b_j strictly exceeds ``rhs[k]``.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    off_i: np.ndarray
+    off_j: np.ndarray
+    rhs: np.ndarray
+
 
 @dataclass(frozen=True)
 class Region:
     """One inclusion region of one tensor, with every part of its test that does not depend on z.
 
     ``stats`` is the tensor's generated-matrix record.  ``radius`` is the
-    per-row disc radius of the disc kinds; ``rS`` and ``rC`` split each P_i
-    into its mass on the subset S and on the complement for 'stype'.
+    per-row disc radius of the disc kinds; ``rS`` is each P_i's mass on the
+    subset S for 'stype', the radius of its S-discs.  ``pairs`` holds the
+    pair test of the pair kinds.
     """
 
     kind: str
@@ -46,7 +69,7 @@ class Region:
     subset: Optional[tuple[int, ...]] = None  # 1-based, sorted
     radius: Optional[np.ndarray] = None
     rS: Optional[np.ndarray] = None
-    rC: Optional[np.ndarray] = None
+    pairs: Optional[_PairTest] = None
 
 
 @dataclass(frozen=True)
@@ -82,18 +105,28 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
             raise BadSubset(f"subset {subset} is not a nonempty proper subset of 1..{n}")
     G = tz.generated_matrix(t)
     P, Q, S = G.P, G.Q, G.S
-    radius = rS = rC = None
+    radius = rS = pairs = None
     if kind == "gershgorin":
         radius = P
     elif kind == "ostrowski":
         radius = np.power(P, gamma) * np.power(Q, 1.0 - gamma)
     elif kind == "gammamix":
         radius = gamma * P + (1.0 - gamma) * Q
+    elif kind == "cassini":
+        I, J = np.triu_indices(n, 1)
+        zero = np.zeros(len(I))
+        pairs = _PairTest(I, J, zero, zero, P[I] * P[J])
     elif kind == "stype":
         sub0 = [i - 1 for i in sub]
+        comp0 = [j for j in range(n) if j + 1 not in sub]
         rS = np.array([S[i, sub0].sum() - (S[i, i] if i in sub0 else 0.0) for i in range(n)])
         rC = P - rS
-    return Region(kind, G, gamma, sub, radius, rS, rC)
+        I, J = np.repeat(sub0, len(comp0)), np.tile(comp0, len(sub0))
+        pairs = _PairTest(I, J, rS[I], rC[J], rC[I] * rS[J])
+    elif kind == "ssingleton":
+        I, J = np.nonzero(~np.eye(n, dtype=bool))
+        pairs = _PairTest(I, J, np.zeros(len(I)), P[J] - S[J, I], P[I] * S[J, I])
+    return Region(kind, G, gamma, sub, radius, rS, pairs)
 
 
 def _f(region: Region, z: np.ndarray) -> np.ndarray:
@@ -111,52 +144,28 @@ def membership(region: Region, z) -> bool | np.ndarray:
 
 
 def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
-    kind = region.kind
-    f = _f(region, z)
-    P, S, n = region.stats.P, region.stats.S, region.stats.dim
+    f = _f(region, z.ravel())
     if region.radius is not None:
         return leq(f, region.radius).any(axis=-1)
-    if kind == "cassini":
-        member = np.zeros(z.shape, dtype=bool)
-        for i in range(n):
-            for j in range(i + 1, n):
-                fi, fj = f[..., i], f[..., j]
-                excluded = gt(fi, 0.0) & gt(fj, 0.0) & gt(fi * fj, P[i] * P[j])
-                member |= ~excluded
-        return member
-    # For the split-sum kinds the outer absolute value g = |f| widens the
-    # member side (annular components), but a point may be EXCLUDED only
-    # when the signed brackets f are positive: the exclusion argument runs
-    # through strict dominance of the shifted tensor's generated matrix,
-    # whose diagonal is f itself, so a negative f with large |f| proves
-    # nothing.  With f > 0 the two bracket forms coincide.
-    g = np.abs(f)
-    if kind == "stype":
+    # For the split-sum kinds the outer absolute value |f| widens the member
+    # side (annular components), but a point may be EXCLUDED only when the
+    # signed brackets f are positive: the exclusion argument runs through
+    # strict dominance of the shifted tensor's generated matrix, whose
+    # diagonal is f itself, so a negative f with large |f| proves nothing.
+    # With f > 0 the two bracket forms coincide.
+    if region.kind == "stype":
         sub0 = [i - 1 for i in region.subset]
-        comp0 = [j for j in range(n) if j + 1 not in region.subset]
-        rS, rC = region.rS, region.rC
-        member = np.zeros(z.shape, dtype=bool)
-        for i in sub0:
-            member |= leq(g[..., i], rS[i])
-        for i in sub0:
-            for j in comp0:
-                bi = f[..., i] - rS[i]
-                bj = f[..., j] - rC[j]
-                excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rC[i] * rS[j])
-                member |= ~excluded
-        return member
-    if kind == "ssingleton":
-        member = np.zeros(z.shape, dtype=bool)
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                bi = f[..., i]
-                bj = f[..., j] - (P[j] - S[j, i])
-                excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, P[i] * S[j, i])
-                member |= ~excluded
-        return member
-    raise ValueError(f"unknown region kind {kind!r}")
+        member = leq(np.abs(f[:, sub0]), region.rS[sub0]).any(axis=-1)
+    else:
+        member = np.zeros(len(f), dtype=bool)
+    I, J, off_i, off_j, rhs = region.pairs
+    step = max(1, _CHUNK_ELEMENTS // len(I))
+    for s in range(0, len(f), step):
+        bi = f[s:s + step, I] - off_i
+        bj = f[s:s + step, J] - off_j
+        excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rhs)
+        member[s:s + step] |= ~excluded.all(axis=-1)
+    return member
 
 
 def _enclosing_interval(region: Region) -> tuple[float, float]:
@@ -172,7 +181,10 @@ def real_bounds(region: Region, tol: float = 1e-6) -> RealBounds:
     The scan covers an interval guaranteed to contain the region, at step
     width/4096, with the region centers added as extra probes (a radius-zero
     disc sits exactly at its center).  The outermost sign changes are then
-    bisected 60 times each.
+    bisected together, both ends in one loop of at most 60 steps with one
+    membership call per step.  An end stops once its midpoint equals one of
+    its bracket ends: the bracket cannot shrink further, so every later
+    step would leave it as it is.
     """
     lo_enc, hi_enc = _enclosing_interval(region)
     xs = np.linspace(lo_enc, hi_enc, 4097)
@@ -182,19 +194,22 @@ def real_bounds(region: Region, tol: float = 1e-6) -> RealBounds:
     if hits.size == 0:
         raise EmptyRegion("no real member found on scan")
     first, last = hits[0], hits[-1]
-
-    def bisect(outside: float, inside: float) -> float:
-        for _ in range(60):
-            mid = 0.5 * (outside + inside)
-            if membership(region, complex(mid)):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    lower = xs[first] if first == 0 else bisect(xs[first - 1], xs[first])
-    upper = xs[last] if last == len(xs) - 1 else bisect(xs[last + 1], xs[last])
-    return RealBounds(float(lower), float(upper), tol)
+    # [lower, upper]: each end's bracket; an end on the scan's edge is already exact
+    inside = xs[[first, last]]
+    outside = xs[[max(first - 1, 0), min(last + 1, len(xs) - 1)]]
+    active = np.array([first > 0, last < len(xs) - 1])
+    for _ in range(60):
+        if not active.any():
+            break
+        ends = np.flatnonzero(active)
+        mid = 0.5 * (outside[ends] + inside[ends])
+        # a midpoint equal to a bracket end takes that end's place (the same
+        # value, so the bracket keeps its width) and is the end's last step
+        active[ends] = (mid != outside[ends]) & (mid != inside[ends])
+        hit = membership(region, mid.astype(complex))
+        inside[ends[hit]] = mid[hit]
+        outside[ends[~hit]] = mid[~hit]
+    return RealBounds(float(inside[0]), float(inside[1]), tol)
 
 
 def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):
@@ -211,9 +226,6 @@ def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):
     res = np.linspace(re0, re1, nx)
     ims = np.linspace(im0, im1, ny)
     Z = res[:, None] + 1j * ims[None, :]
-    mem = membership(region, Z)
-    rows = []
-    for i in range(nx):
-        for j in range(ny):
-            rows.append((float(res[i]), float(ims[j]), int(mem[i, j])))
-    return rows
+    mem = membership(region, Z).astype(int)
+    ims_list = ims.tolist()
+    return [(r, i, m) for r, mrow in zip(res.tolist(), mem.tolist()) for i, m in zip(ims_list, mrow)]

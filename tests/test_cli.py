@@ -171,6 +171,14 @@ class TestRegionGrid:
         assert len(lines) == 1 + 4 * 3
         assert all(line.split(",")[2] in ("0", "1") for line in lines[1:])
 
+    def test_signed_zero_axes(self, capsys, f42):
+        # -0.0 == 0.0, but the two axis values print apart
+        code, out, _ = run(capsys, "region-grid", "--input", f42, "--kind", "gershgorin",
+                           "--grid=0:-0:0:-0:2:2")
+        assert code == 0
+        coords = [tuple(line.split(",")[:2]) for line in out.strip().splitlines()[1:]]
+        assert coords == [("0", "0"), ("0", "-0"), ("-0", "0"), ("-0", "-0")]
+
     def test_nx_one_is_usage_error(self, capsys, f42):
         code, _, err = run(capsys, "region-grid", "--input", f42, "--kind", "gershgorin",
                            "--grid", "0:1:0:1:1:5")

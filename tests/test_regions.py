@@ -5,11 +5,82 @@ import math
 import numpy as np
 import pytest
 
-from conftest import GEN_44, random_sparse_tensor
+from conftest import ENTRIES_42, ENTRIES_44, GEN_44, random_sparse_tensor
+from tgmat.compare import gt, leq
 from tgmat.errors import BadGrid, BadSubset, EmptyRegion, GammaOutOfRange, WrongDimension
 from tgmat.oracle import h_eigen_exact_2d
 from tgmat.regions import KINDS, build_region, grid_sample, membership, real_bounds
-from tgmat.tensor import diagonal, generated_matrix, row_sums, unit_tensor
+from tgmat.tensor import build_tensor, diagonal, generated_matrix, row_sums, unit_tensor
+
+
+def reference_membership(region, z):
+    """Membership with one loop iteration per index pair, z of any shape."""
+    z = np.asarray(z, dtype=complex)
+    G = region.stats
+    P, S, n = G.P, G.S, G.dim
+    f = np.abs(z[..., None] - G.diagonal) - G.s_diag
+    if region.kind in ("gershgorin", "ostrowski", "gammamix"):
+        return leq(f, region.radius).any(axis=-1)
+    member = np.zeros(z.shape, dtype=bool)
+    if region.kind == "cassini":
+        for i in range(n):
+            for j in range(i + 1, n):
+                fi, fj = f[..., i], f[..., j]
+                member |= ~(gt(fi, 0.0) & gt(fj, 0.0) & gt(fi * fj, P[i] * P[j]))
+        return member
+    g = np.abs(f)
+    if region.kind == "stype":
+        sub0 = [i - 1 for i in region.subset]
+        comp0 = [j for j in range(n) if j + 1 not in region.subset]
+        rS = np.array([S[i, sub0].sum() - (S[i, i] if i in sub0 else 0.0) for i in range(n)])
+        rC = P - rS
+        for i in sub0:
+            member |= leq(g[..., i], rS[i])
+        for i in sub0:
+            for j in comp0:
+                bi = f[..., i] - rS[i]
+                bj = f[..., j] - rC[j]
+                member |= ~(gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rC[i] * rS[j]))
+        return member
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                bi = f[..., i]
+                bj = f[..., j] - (P[j] - S[j, i])
+                member |= ~(gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, P[i] * S[j, i]))
+    return member
+
+
+def reference_real_bounds(region):
+    """Scan plus a sequential 60-step scalar bisection of each end."""
+    G = region.stats
+    R = float(np.max(G.s_diag + np.maximum(G.P, G.Q))) + 1.0
+    xs = np.linspace(float(np.min(G.diagonal)) - R, float(np.max(G.diagonal)) + R, 4097)
+    xs = np.unique(np.concatenate([xs, G.diagonal.astype(float)]))
+    hits = np.flatnonzero(reference_membership(region, xs))
+    first, last = hits[0], hits[-1]
+
+    def bisect(outside, inside):
+        for _ in range(60):
+            mid = 0.5 * (outside + inside)
+            if reference_membership(region, complex(mid)):
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    lower = xs[first] if first == 0 else bisect(xs[first - 1], xs[first])
+    upper = xs[last] if last == len(xs) - 1 else bisect(xs[last + 1], xs[last])
+    return float(lower), float(upper)
+
+
+def every_region(t, rng):
+    """One region of each kind, with a random gamma and a random stype subset."""
+    n = t.dim
+    subset = tuple(int(i) + 1 for i in rng.choice(n, size=int(rng.integers(1, n)), replace=False))
+    for kind in KINDS:
+        gamma = float(rng.uniform(0, 1)) if kind in ("ostrowski", "gammamix") else None
+        yield build_region(t, kind, gamma=gamma, subset=subset if kind == "stype" else None)
 
 
 class TestBuildRegion:
@@ -72,6 +143,22 @@ class TestMembership:
         assert not membership(reg, 7 + 20j)
 
 
+    def test_pair_kinds_match_loop_reference(self):
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            t = random_sparse_tensor(rng)
+            if t.dim < 2:
+                continue
+            for reg in every_region(t, rng):
+                for z in rng.uniform(-10, 10, 5) + 1j * rng.uniform(-2, 2, 5):
+                    assert membership(reg, complex(z)) == reference_membership(reg, complex(z))
+                Z = np.linspace(-12, 12, 31)[:, None] + 1j * np.linspace(-6, 6, 17)[None, :]
+                assert np.array_equal(membership(reg, Z), reference_membership(reg, Z))
+                # longer than one chunk even for a single pair
+                xs = np.linspace(-15, 15, 9001)
+                assert np.array_equal(membership(reg, xs), reference_membership(reg, xs))
+
+
 class TestRealBounds:
     def test_demo_cassini_closed_form(self, t42):
         reg = build_region(t42, "cassini")
@@ -109,6 +196,20 @@ class TestRealBounds:
             assert membership(reg, rb.upper)
             assert not membership(reg, rb.lower - 1e-5)
             assert not membership(reg, rb.upper + 1e-5)
+
+
+    def test_joint_refinement_matches_scalar_bisection(self, t42, t44):
+        rng = np.random.default_rng(46)
+        tensors = [random_sparse_tensor(rng) for _ in range(12)]
+        tensors = [t for t in tensors if t.dim >= 2] + [t42, t44]
+        # unscaled, each bracket reaches adjacent floats within 60 halvings and
+        # stops early; scaled by 1e-8, the 60-step cap ends it first
+        tensors += [build_tensor(4, 2, {k: v * 1e-8 for k, v in ENTRIES_42.items()}),
+                    build_tensor(4, 4, {k: v * 1e-8 for k, v in ENTRIES_44.items()})]
+        for t in tensors:
+            for reg in every_region(t, rng):
+                rb = real_bounds(reg)
+                assert (rb.lower, rb.upper) == reference_real_bounds(reg)
 
 
 class TestRegionRelations:

@@ -222,6 +222,17 @@ class TestClassicality:
         assert v.certified and v.rule == "strongly_symmetric_H"
         assert psd_floor(coefficient_tensor(st)) >= -1e-9
 
+    def test_statistics_built_once(self, monkeypatch):
+        # the cascade reads the record certify_classicality built
+        import tgmat.tensor as tz
+
+        calls = []
+        s_matrix = tz.s_matrix
+        monkeypatch.setattr(tz, "s_matrix", lambda t: calls.append(1) or s_matrix(t))
+        v = certify_classicality(spin_state(2, np.eye(3) / 3))
+        assert v.certified and v.certificate.certified
+        assert len(calls) == 1
+
     def test_maximally_mixed_m4_psd_regardless_of_verdict(self):
         # the cascade may stay inconclusive here, but the state is classical,
         # so the sampled form must be nonnegative either way
