@@ -225,10 +225,15 @@ def is_h_matrix(M: np.ndarray) -> HMatrixResult:
     return HMatrixResult(True, x, rho)
 
 
-def _off_diagonal_edges(M: np.ndarray) -> np.ndarray:
-    """Adjacency of the digraph with an edge i -> j when i != j and m_ij != 0."""
-    adj = np.asarray(M) != 0
-    np.fill_diagonal(adj, False)
+def _tensor_edges(t: tz.DenseTensor) -> np.ndarray:
+    """Edges i -> j (i != j) where some nonzero a_{i i2...im} has j among i2..im.
+
+    The pattern of S can lose an edge: a subnormal |a| / (m - 1) may be 0.
+    """
+    nonzero, trailing = t.entries != 0, range(1, t.order)
+    # axis k of the trailing ones holds j: OR over all the others
+    adj = np.any([nonzero.any(axis=tuple(a for a in trailing if a != k)) for k in trailing], axis=0)
+    np.fill_diagonal(adj, False)  # the diagonal tuple only reaches adj[i, i]
     return adj
 
 
@@ -245,39 +250,44 @@ def _reachable(adj: np.ndarray, start) -> np.ndarray:
 
 def is_irreducible(M: np.ndarray) -> bool:
     """True when the digraph with edges i -> j (i != j, m_ij != 0) is strongly connected."""
-    adj = _off_diagonal_edges(M)
+    adj = np.asarray(M) != 0
+    np.fill_diagonal(adj, False)
     # strongly connected iff node 1 reaches every node and every node reaches node 1
     return bool(_reachable(adj, 0).all() and _reachable(adj.T, 0).all())
 
 
 def is_weakly_irreducible(t: tz.DenseTensor) -> bool:
-    return is_irreducible(tz.representation_matrix(t))
+    return is_irreducible(_tensor_edges(t))
 
 
 def tensor_dd(t: tz.DenseTensor) -> DominanceReport:
     """Diagonal dominance of the tensor itself: |a_{i...i}| against r_i."""
-    d = np.abs(tz.diagonal(t))
-    r = tz.row_sums(t)
-    strict = _strict_rows(d, r)
-    if len(strict) == t.dim:
+    return _tensor_dd_with_record(tz.generated_matrix(t))
+
+
+def _tensor_dd_with_record(G: tz.GeneratedMatrix) -> DominanceReport:
+    """``tensor_dd`` from the tensor's generated-matrix record G."""
+    strict = _strict_rows(G.diag_abs, G.r)
+    if len(strict) == G.dim:
         return DominanceReport("SDD", strict)
-    if np.all(d >= r):
+    if np.all(G.diag_abs >= G.r):
         return DominanceReport("DD", strict)
     return DominanceReport(None, strict)
 
 
 def is_weakly_chained_dd(t: tz.DenseTensor) -> bool:
     """Diagonally dominant with a walk from every non-strict row into J."""
-    rep = tensor_dd(t)
+    return _weakly_chained_with_record(t, tz.generated_matrix(t))
+
+
+def _weakly_chained_with_record(t: tz.DenseTensor, G: tz.GeneratedMatrix) -> bool:
+    """``is_weakly_chained_dd`` for a tensor whose record G is already built."""
+    rep = _tensor_dd_with_record(G)
     if rep.kind is None or not rep.strict_rows:
         return False
-    n = t.dim
-    J = {i - 1 for i in rep.strict_rows}
-    if len(J) == n:
-        return True
+    J = [i - 1 for i in rep.strict_rows]
     # every row has a walk into J iff J reaches every row along reversed edges
-    adj = _off_diagonal_edges(tz.representation_matrix(t))
-    return bool(_reachable(adj.T, sorted(J)).all())
+    return len(J) == t.dim or bool(_reachable(_tensor_edges(t).T, J).all())
 
 
 def _attach_certificate(t: tz.DenseTensor, d: np.ndarray, rule: str, gamma, x: Optional[np.ndarray],
@@ -315,7 +325,7 @@ def _certify_with_record(t: tz.DenseTensor, G: tz.GeneratedMatrix) -> Certificat
     degenerate = [i + 1 for i in range(t.dim) if G.diag_abs[i] <= G.s_diag[i]]
     if degenerate:
         note = f"rows {degenerate} have |a_ii...i| <= s_ii; matrix rules skipped"
-        if is_weakly_chained_dd(t):
+        if _weakly_chained_with_record(t, G):
             return _attach_certificate(t, d, "WeaklyChainedDD", None, is_h_matrix(G.data).scaling, note)
         return Certificate("not_certified", note=note)
     if check_dominance(G.data, "SDD").kind:
@@ -331,7 +341,7 @@ def _certify_with_record(t: tz.DenseTensor, G: tz.GeneratedMatrix) -> Certificat
     dd = check_dominance(G.data, "DD")
     if dd.kind and dd.strict_rows and is_irreducible(G.data):
         return _attach_certificate(t, d, "IrreducibleDD", None, None)
-    if is_weakly_chained_dd(t):
+    if _weakly_chained_with_record(t, G):
         return _attach_certificate(t, d, "WeaklyChainedDD", None, None)
     return Certificate("not_certified", note="no sufficient condition fired")
 

@@ -45,10 +45,6 @@ class BadGrid(TgmatError):
     """Grid specification is invalid."""
 
 
-class EmptyRegion(TgmatError):
-    """No member of the region was found on the real axis."""
-
-
 class ComplexDiagonal(TgmatError):
     """Diagonal tensor entries must be real."""
 

@@ -12,9 +12,9 @@ The pair kinds test every index pair (i, j) at once: ``build_region``
 stores the pair index arrays with the z-independent offsets and right-hand
 sides, and membership broadcasts one test over (points, pairs).
 
-Real-axis bounds are extracted by a scan plus bisection shared by all
-kinds; no closed-form root formulas are used here (tests cross-check the
-dimension-2 ovals against their quadratic roots independently).
+Real-axis bounds are closed-form: a disc reaches a_i -+ (s_ii + radius_i),
+and a pair the roots of a quadratic.  Each end is rounded outward by a bound
+on its floating-point error, so the interval holds every real member.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as tz
 from .compare import gt, leq
-from .errors import BadGrid, BadSubset, EmptyRegion, GammaOutOfRange, WrongDimension
+from .errors import BadGrid, BadSubset, GammaOutOfRange, WrongDimension
 
 __all__ = ["Region", "RealBounds", "KINDS", "build_region", "membership", "real_bounds", "grid_sample"]
 
@@ -76,7 +76,6 @@ class Region:
 class RealBounds:
     lower: float
     upper: float
-    tolerance: float
 
 
 def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
@@ -129,11 +128,6 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
     return Region(kind, G, gamma, sub, radius, rS, pairs)
 
 
-def _f(region: Region, z: np.ndarray) -> np.ndarray:
-    """f_i(z) = |z - a_{i...i}| - s_ii, shape (..., n)."""
-    return np.abs(z[..., None] - region.stats.diagonal) - region.stats.s_diag
-
-
 def membership(region: Region, z) -> bool | np.ndarray:
     """Whether z (scalar or array of complex) belongs to the region."""
     za = np.asarray(z, dtype=complex)
@@ -144,7 +138,8 @@ def membership(region: Region, z) -> bool | np.ndarray:
 
 
 def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
-    f = _f(region, z.ravel())
+    # f_i(z) = |z - a_{i...i}| - s_ii, shape (points, n)
+    f = np.abs(z.ravel()[:, None] - region.stats.diagonal) - region.stats.s_diag
     if region.radius is not None:
         return leq(f, region.radius).any(axis=-1)
     # For the split-sum kinds the outer absolute value |f| widens the member
@@ -168,48 +163,43 @@ def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
     return member
 
 
-def _enclosing_interval(region: Region) -> tuple[float, float]:
-    # outside this interval every membership branch fails by the triangle inequality
-    G = region.stats
-    R = float(np.max(G.s_diag + np.maximum(G.P, G.Q))) + 1.0
-    return float(np.min(G.diagonal)) - R, float(np.max(G.diagonal)) + R
+def real_bounds(region: Region) -> RealBounds:
+    """Smallest and largest real member, in closed form and rounded outward.
 
-
-def real_bounds(region: Region, tol: float = 1e-6) -> RealBounds:
-    """Smallest and largest real member, by scan plus bisection.
-
-    The scan covers an interval guaranteed to contain the region, at step
-    width/4096, with the region centers added as extra probes (a radius-zero
-    disc sits exactly at its center).  The outermost sign changes are then
-    bisected together, both ends in one loop of at most 60 steps with one
-    membership call per step.  An end stops once its midpoint equals one of
-    its bracket ends: the bracket cannot shrink further, so every later
-    step would leave it as it is.
+    With u = a_i - (s_ii + off_i) and v = a_j - (s_jj + off_j), the brackets
+    obey b_i >= u - x and b_j >= v - x, so a pair excludes every x left of
+    the smaller root of (u - x)(v - x) = rhs; with offsets >= 0 the root is
+    a member.  A negative rhs excludes the same points as 0.  A disc
+    f_i <= radius_i is the pair (i, i) with both offsets the radius and rhs
+    0.  The S-annuli |f_i| <= rS_i of 'stype' reach no further than its
+    pairs: pair (i, j) has u = a_i - s_ii - rS_i, the annulus's own lower
+    end.  The upper end is the lower end of the region mirrored at 0, which
+    negates every center.
     """
-    lo_enc, hi_enc = _enclosing_interval(region)
-    xs = np.linspace(lo_enc, hi_enc, 4097)
-    xs = np.unique(np.concatenate([xs, region.stats.diagonal.astype(float)]))
-    mem = membership(region, xs.astype(complex))
-    hits = np.flatnonzero(mem)
-    if hits.size == 0:
-        raise EmptyRegion("no real member found on scan")
-    first, last = hits[0], hits[-1]
-    # [lower, upper]: each end's bracket; an end on the scan's edge is already exact
-    inside = xs[[first, last]]
-    outside = xs[[max(first - 1, 0), min(last + 1, len(xs) - 1)]]
-    active = np.array([first > 0, last < len(xs) - 1])
-    for _ in range(60):
-        if not active.any():
-            break
-        ends = np.flatnonzero(active)
-        mid = 0.5 * (outside[ends] + inside[ends])
-        # a midpoint equal to a bracket end takes that end's place (the same
-        # value, so the bracket keeps its width) and is the end's last step
-        active[ends] = (mid != outside[ends]) & (mid != inside[ends])
-        hit = membership(region, mid.astype(complex))
-        inside[ends[hit]] = mid[hit]
-        outside[ends[~hit]] = mid[~hit]
-    return RealBounds(float(inside[0]), float(inside[1]), tol)
+    G, pairs = region.stats, region.pairs
+    if pairs is None:
+        rows = np.arange(G.dim)
+        pairs = _PairTest(rows, rows, region.radius, region.radius, np.zeros(G.dim))
+    I, J, off_i, off_j, rhs = pairs
+    a, s = np.stack([G.diagonal, -G.diagonal]), G.s_diag  # the region and its mirror image
+    u = a[:, I] - (s[I] + off_i)
+    v = a[:, J] - (s[J] + off_j)
+    h = np.hypot(u - v, 2.0 * np.sqrt(np.maximum(rhs, 0.0)))
+    # Error of the root, with eps = 2 * unit roundoff, the stored values exact
+    # and M = sum of |a| + s + |off| over both rows: u and v are off by eps M,
+    # u - v and u + v by 1.5 eps M, 2 sqrt(rhs) by eps / 2 of itself.  hypot is
+    # 1-Lipschitz per argument and within one ulp, so h is off by 1.5 eps
+    # (M + h); the difference adds eps / 2 (M + h) and the halving is exact,
+    # leaving 1.75 eps M + eps h.  The root is at most (M + h) / 2 in size, so
+    # subtracting err rounds by about eps / 4 (M + h).  3 eps (M + h) covers
+    # all of it, the second-order terms and the rounding of err itself.  In the
+    # subnormal range hypot, the halving and err add at most 2.5 * 2**-1074,
+    # covered by 2**-1072; that term is smaller only when M + h is, and then
+    # every step is exact.
+    size = np.abs(a[:, I]) + s[I] + np.abs(off_i) + np.abs(a[:, J]) + s[J] + np.abs(off_j) + h
+    err = 3.0 * np.finfo(float).eps * size + np.minimum(size, 2.0 ** -1072)
+    lower, mirrored = np.min(0.5 * ((u + v) - h) - err, axis=1)
+    return RealBounds(float(lower), -float(mirrored))
 
 
 def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):

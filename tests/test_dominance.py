@@ -26,6 +26,7 @@ from tgmat.tensor import (
     contract,
     diagonal,
     generated_matrix,
+    representation_matrix,
     unit_tensor,
     zero_tensor,
 )
@@ -150,6 +151,22 @@ class TestIrreducibility:
             t = random_sparse_tensor(rng)
             assert is_weakly_irreducible(t) == is_irreducible(generated_matrix(t).data)
 
+    def test_edges_match_representation_matrix(self):
+        rng = np.random.default_rng(27)
+        for _ in range(60):
+            t = random_sparse_tensor(rng, order=int(rng.integers(2, 6)))
+            want = representation_matrix(t) != 0
+            np.fill_diagonal(want, False)
+            assert np.array_equal(dom._tensor_edges(t), want)
+
+    def test_subnormal_entry_keeps_its_edge(self):
+        # |a_112| / (m - 1) underflows to 0, so S has no edge 1 -> 2
+        t = build_tensor(3, 2, {(1, 1, 1): 1.0, (1, 1, 2): 5e-324, (2, 2, 2): 1.0, (2, 1, 1): 1.0})
+        assert generated_matrix(t).S[0, 1] == 0.0
+        assert representation_matrix(t)[0, 1] != 0.0
+        assert dom._tensor_edges(t).tolist() == [[False, True], [True, False]]
+        assert is_weakly_irreducible(t)
+
 
 class TestTensorDominance:
     def test_demo_dd_with_one_strict_row(self, t42):
@@ -239,6 +256,21 @@ class TestCertifyHTensor:
         cert = certify_h_tensor(t)
         assert cert.rule == rule and cert.scaling is not None
         assert calls["s_matrix"] == 1 and calls["is_h_matrix"] <= 1
+
+    def test_weak_chain_reads_the_record(self, monkeypatch):
+        # rows 2 and 3 dominate with equality, so the cascade ends in the walk test
+        t = build_tensor(3, 3, {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (2, 3, 3): 1.0,
+                                (3, 3, 3): 1.0, (3, 2, 2): 1.0})
+        calls = {"row_sums": 0, "representation_matrix": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(tz, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(tz, name, counted)
+        cert = certify_h_tensor(t)
+        assert not cert.certified and cert.note == "no sufficient condition fired"
+        assert calls == {"row_sums": 1, "representation_matrix": 0}
 
     def test_certificate_scaling_verifies_definition(self):
         rng = np.random.default_rng(23)

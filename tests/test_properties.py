@@ -1,0 +1,68 @@
+"""Property tests: real bounds move with the tensor's scale and ignore index labels."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_sparse_tensor
+from tgmat.regions import KINDS, build_region, real_bounds
+from tgmat.tensor import DenseTensor, generated_matrix
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def tensors_with_regions(draw):
+    """A conftest random tensor with one (kind, gamma, subset) per region kind."""
+    t = random_sparse_tensor(np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    subset = draw(st.sets(st.integers(1, t.dim), min_size=1, max_size=t.dim - 1))
+    specs = []
+    for kind in KINDS:
+        gamma = draw(st.floats(0.0, 1.0)) if kind in ("ostrowski", "gammamix") else None
+        specs.append((kind, gamma, tuple(sorted(subset)) if kind == "stype" else None))
+    return t, specs
+
+
+def bounds(t, spec):
+    kind, gamma, subset = spec
+    rb = real_bounds(build_region(t, kind, gamma=gamma, subset=subset))
+    return rb.lower, rb.upper
+
+
+def rounding_scale(t):
+    """The largest |a_ii| + s_ii + P_i + Q_i; 1e-12 of it is far above any bound's rounding error."""
+    G = generated_matrix(t)
+    return float(np.max(G.diag_abs + G.s_diag + G.P + G.Q))
+
+
+@PROPERTY_SETTINGS
+@given(tensors_with_regions(), st.sampled_from([2.0 ** -30, 1e-8, 1e6]))
+def test_bounds_scale_with_the_tensor(case, c):
+    t, specs = case
+    scaled = DenseTensor(c * t.entries)
+    tol = 1e-12 * c * rounding_scale(t)
+    for spec in specs:
+        got, want = bounds(scaled, spec), bounds(t, spec)
+        if c == 2.0 ** -30 and spec[0] != "ostrowski":
+            # a power of two scales every stored value and every rounding exactly;
+            # only the Ostrowski radius P**gamma * Q**(1 - gamma) rounds apart
+            assert got == (c * want[0], c * want[1]), spec
+        else:
+            assert abs(got[0] - c * want[0]) <= tol and abs(got[1] - c * want[1]) <= tol, spec
+
+
+@PROPERTY_SETTINGS
+@given(tensors_with_regions(), st.randoms(use_true_random=False))
+def test_bounds_ignore_index_labels(case, random):
+    t, specs = case
+    perm = list(range(t.dim))
+    random.shuffle(perm)
+    # entry (i1, ..., im) of t becomes entry (perm[i1], ..., perm[im])
+    inverse = np.argsort(perm)
+    relabelled = DenseTensor(t.entries[np.ix_(*[inverse] * t.order)])
+    tol = 1e-12 * rounding_scale(t)
+    for kind, gamma, subset in specs:
+        moved = tuple(sorted(perm[i - 1] + 1 for i in subset)) if subset else None
+        got = bounds(relabelled, (kind, gamma, moved))
+        want = bounds(t, (kind, gamma, subset))
+        assert abs(got[0] - want[0]) <= tol and abs(got[1] - want[1]) <= tol, kind

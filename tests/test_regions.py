@@ -1,16 +1,17 @@
 """Inclusion regions: membership predicates, real bounds, grid sampling."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from conftest import ENTRIES_42, ENTRIES_44, GEN_44, random_sparse_tensor
+from conftest import random_sparse_tensor
 from tgmat.compare import gt, leq
-from tgmat.errors import BadGrid, BadSubset, EmptyRegion, GammaOutOfRange, WrongDimension
+from tgmat.errors import BadGrid, BadSubset, GammaOutOfRange, WrongDimension
 from tgmat.oracle import h_eigen_exact_2d
 from tgmat.regions import KINDS, build_region, grid_sample, membership, real_bounds
-from tgmat.tensor import build_tensor, diagonal, generated_matrix, row_sums, unit_tensor
+from tgmat.tensor import DenseTensor, diagonal, generated_matrix, row_sums, unit_tensor
 
 
 def reference_membership(region, z):
@@ -51,27 +52,39 @@ def reference_membership(region, z):
     return member
 
 
-def reference_real_bounds(region):
-    """Scan plus a sequential 60-step scalar bisection of each end."""
-    G = region.stats
-    R = float(np.max(G.s_diag + np.maximum(G.P, G.Q))) + 1.0
-    xs = np.linspace(float(np.min(G.diagonal)) - R, float(np.max(G.diagonal)) + R, 4097)
-    xs = np.unique(np.concatenate([xs, G.diagonal.astype(float)]))
-    hits = np.flatnonzero(reference_membership(region, xs))
-    first, last = hits[0], hits[-1]
+def exact_real_extent(region):
+    """Smallest and largest real member in 50-digit decimal arithmetic.
 
-    def bisect(outside, inside):
-        for _ in range(60):
-            mid = 0.5 * (outside + inside)
-            if reference_membership(region, complex(mid)):
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
-    lower = xs[first] if first == 0 else bisect(xs[first - 1], xs[first])
-    upper = xs[last] if last == len(xs) - 1 else bisect(xs[last + 1], xs[last])
-    return float(lower), float(upper)
+    Starts from the region's stored float values.  A disc reaches
+    a_i -+ (s_ii + radius_i); a pair with c = s + off reaches the smaller
+    root of (a_i - c_i - x)(a_j - c_j - x) = rhs on the left and the larger
+    root of (x - a_i - c_i)(x - a_j - c_j) = rhs on the right.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        G = region.stats
+        a = [Decimal(float(x)) for x in G.diagonal]
+        s = [Decimal(float(x)) for x in G.s_diag]
+        ends = []
+        if region.radius is not None:
+            discs = enumerate(region.radius)
+        elif region.kind == "stype":
+            discs = ((i - 1, region.rS[i - 1]) for i in region.subset)
+        else:
+            discs = ()
+        for i, r in discs:
+            reach = s[i] + Decimal(float(r))
+            ends.append((a[i] - reach, a[i] + reach))
+        if region.pairs is not None:
+            for i, j, off_i, off_j, rhs in zip(*region.pairs):
+                ci, cj = s[i] + Decimal(float(off_i)), s[j] + Decimal(float(off_j))
+                q = 4 * max(Decimal(float(rhs)), Decimal(0))
+                u, v = a[i] - ci, a[j] - cj
+                lower = (u + v - ((u - v) ** 2 + q).sqrt()) / 2
+                u, v = a[i] + ci, a[j] + cj
+                upper = (u + v + ((u - v) ** 2 + q).sqrt()) / 2
+                ends.append((lower, upper))
+        return min(lo for lo, _ in ends), max(hi for _, hi in ends)
 
 
 def every_region(t, rng):
@@ -198,18 +211,37 @@ class TestRealBounds:
             assert not membership(reg, rb.upper + 1e-5)
 
 
-    def test_joint_refinement_matches_scalar_bisection(self, t42, t44):
+    def test_closed_form_is_outward_and_tight(self, t42, t44):
         rng = np.random.default_rng(46)
-        tensors = [random_sparse_tensor(rng) for _ in range(12)]
-        tensors = [t for t in tensors if t.dim >= 2] + [t42, t44]
-        # unscaled, each bracket reaches adjacent floats within 60 halvings and
-        # stops early; scaled by 1e-8, the 60-step cap ends it first
-        tensors += [build_tensor(4, 2, {k: v * 1e-8 for k, v in ENTRIES_42.items()}),
-                    build_tensor(4, 4, {k: v * 1e-8 for k, v in ENTRIES_44.items()})]
+        tensors = [t42, t44] + [random_sparse_tensor(rng) for _ in range(40)]
         for t in tensors:
             for reg in every_region(t, rng):
                 rb = real_bounds(reg)
-                assert (rb.lower, rb.upper) == reference_real_bounds(reg)
+                lo, hi = exact_real_extent(reg)
+                lower, upper = Decimal(rb.lower), Decimal(rb.upper)
+                assert lower <= lo and lo - lower <= Decimal(1e-12) * max(1, abs(lo))
+                assert upper >= hi and upper - hi <= Decimal(1e-12) * max(1, abs(hi))
+                assert membership(reg, rb.lower) and membership(reg, rb.upper)
+
+    def test_subnormal_scale_stays_outward(self, t42, t44):
+        rng = np.random.default_rng(48)
+        for t in [t42, t44] + [random_sparse_tensor(rng) for _ in range(20)]:
+            for reg in every_region(DenseTensor(t.entries * 2.0 ** -1060), rng):
+                rb = real_bounds(reg)
+                lo, hi = exact_real_extent(reg)
+                assert Decimal(rb.lower) <= lo and Decimal(rb.upper) >= hi
+
+    def test_membership_never_called(self, t44, monkeypatch):
+        import tgmat.regions as regions
+
+        def fail(*args):
+            raise AssertionError("real_bounds must not probe membership")
+
+        monkeypatch.setattr(regions, "membership", fail)
+        monkeypatch.setattr(regions, "_membership_array", fail)
+        rng = np.random.default_rng(47)
+        for reg in every_region(t44, rng):
+            real_bounds(reg)
 
 
 class TestRegionRelations:
