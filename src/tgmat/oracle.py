@@ -117,48 +117,138 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     return _dedupe(pairs, 1e-7)
 
 
-def _newton_solve(t: tz.DenseTensor, x0: np.ndarray, lam0: float, max_iter=80, max_halvings=30):
-    """Damped Newton on F(x, lam) = (contract - lam x^[m-1], |x|^2 - 1)."""
+# Newton caps shared by every start: 80 steps, the full step then the
+# halvings 0.5^1 .. 0.5^29, and convergence at a max-norm residual of 1e-10
+_MAX_ITER = 80
+_HALVINGS = 0.5 ** np.arange(1, 30)
+_TOL = 1e-10
+# undamped steps that polish each converged pair before the dedupe
+_POLISH_STEPS = 8
+# numbers held by the contraction of one chunk's halving round, which
+# evaluates len(_HALVINGS) trial points of n^(m-1) products per start
+_CHUNK_ELEMENTS = 2 ** 18
+
+
+def _contract_rows(E: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
+    """Contract the q trailing length-n axes of E (shape (R, n^q)) with each row of X.
+
+    Returns shape (k, R).  The last axis goes first, as in ``tz.contract``.
+    """
+    k, n = X.shape
+    if q == 0:
+        return np.broadcast_to(E[:, 0], (k, E.shape[0]))
+    W = X @ E.reshape(-1, n).T
+    for _ in range(q - 1):
+        W = np.matmul(W.reshape(k, W.shape[1] // n, n), X[:, :, None])[:, :, 0]
+    return W
+
+
+def _operators(t: tz.DenseTensor):
+    """The entries as (n, n^(m-1)), and the Jacobian's tensor as (n*n, n^(m-2)).
+
+    d/dx of A x^{m-1} contracts all but one trailing axis; summing the
+    entries with each trailing axis in turn moved next to the row axis does
+    this for every axis at once.
+    """
     m, n = t.order, t.dim
-    x, lam = x0.copy(), lam0
+    B = sum(np.moveaxis(t.entries, k, 1) for k in range(1, m))
+    return t.entries.reshape(n, -1), B.reshape(n * n, -1)
 
-    def system(xv, lv):
-        F = np.empty(n + 1)
-        F[:n] = tz.contract(t, xv) - lv * xv ** (m - 1)
-        F[n] = xv @ xv - 1.0
-        return F
 
-    F = system(x, lam)
-    norm = np.max(np.abs(F))
-    for _ in range(max_iter):
-        if norm <= 1e-10:
-            return x, lam, True
-        J = np.empty((n + 1, n + 1))
-        J[:n, :n] = tz.contract_jacobian(t, x)
-        if m == 2:
-            J[:n, :n] -= lam * np.eye(n)
-        else:
-            J[:n, :n] -= lam * (m - 1) * np.diag(x ** (m - 2))
-        J[:n, n] = -(x ** (m - 1))
-        J[n, :n] = 2.0 * x
-        J[n, n] = 0.0
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            return x, lam, False
-        scale = 1.0
-        for _ in range(max_halvings):
-            xt = x + scale * step[:n]
-            lt = lam + scale * step[n]
-            Ft = system(xt, lt)
-            nt = np.max(np.abs(Ft))
-            if nt < norm:
-                x, lam, F, norm = xt, lt, Ft, nt
-                break
-            scale *= 0.5
-        else:
-            return x, lam, norm <= 1e-10
-    return x, lam, norm <= 1e-10
+def _system(A: np.ndarray, m: int, X: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """F(x, lam) = (A x^{m-1} - lam x^[m-1], |x|^2 - 1), one row per start."""
+    k, n = X.shape
+    F = np.empty((k, n + 1))
+    F[:, :n] = _contract_rows(A, X, m - 1) - L[:, None] * X ** (m - 1)
+    F[:, n] = np.einsum("ij,ij->i", X, X) - 1.0
+    return F
+
+
+def _newton_steps(A, B, m, X, L, F):
+    """The Newton step solving J d = -F for each start, and which starts have one.
+
+    ``B`` holds the Jacobian's tensor (see ``_operators``).  A singular
+    J fails only its own start.
+    """
+    k, n = X.shape
+    d = np.arange(n)
+    J = np.zeros((k, n + 1, n + 1))
+    J[:, :n, :n] = _contract_rows(B, X, m - 2).reshape(k, n, n)
+    J[:, d, d] -= (L * (m - 1))[:, None] * X ** (m - 2)
+    J[:, :n, n] = -(X ** (m - 1))
+    J[:, n, :n] = 2.0 * X
+    ok = np.ones(k, dtype=bool)
+    try:
+        return np.linalg.solve(J, -F[:, :, None])[:, :, 0], ok
+    except np.linalg.LinAlgError:
+        step = np.zeros((k, n + 1))
+        for i in range(k):
+            try:
+                step[i] = np.linalg.solve(J[i], -F[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return step, ok
+
+
+def _newton(A, B, m, X, L):
+    """Damped Newton from every row of (X, L) at once.
+
+    Each start first tries the full step; a start that rejects it takes the
+    first of the halvings 0.5^1 .. 0.5^29 that lowers its residual, all of
+    them evaluated in one stacked call.  Scaling by a power of two is exact,
+    so this is the halving a one-at-a-time search would take.  A start stops
+    when it converges, when no halving helps or when its Jacobian is
+    singular.  Returns the final X, L and the mask of converged starts.
+    """
+    n = X.shape[1]
+    F = _system(A, m, X, L)
+    norm = np.max(np.abs(F), axis=1)
+    live = np.ones(len(X), dtype=bool)
+    for _ in range(_MAX_ITER):
+        live &= norm > _TOL
+        idx = np.flatnonzero(live)
+        if not idx.size:
+            break
+        step, ok = _newton_steps(A, B, m, X[idx], L[idx], F[idx])
+        live[idx[~ok]] = False
+        idx, step = idx[ok], step[ok]
+        Xt, Lt = X[idx] + step[:, :n], L[idx] + step[:, n]
+        Ft = _system(A, m, Xt, Lt)
+        nt = np.max(np.abs(Ft), axis=1)
+        full = nt < norm[idx]
+        a = idx[full]
+        X[a], L[a], F[a], norm[a] = Xt[full], Lt[full], Ft[full], nt[full]
+        r, step = idx[~full], step[~full]
+        if not r.size:
+            continue
+        Xh = X[r][:, None, :] + _HALVINGS[:, None] * step[:, None, :n]
+        Lh = L[r][:, None] + _HALVINGS * step[:, n:]
+        Fh = _system(A, m, Xh.reshape(-1, n), Lh.ravel()).reshape(len(r), len(_HALVINGS), n + 1)
+        lower = np.max(np.abs(Fh), axis=2) < norm[r][:, None]
+        first = np.argmax(lower, axis=1)
+        took = lower[np.arange(len(r)), first]
+        live[r[~took]] = False
+        r, first = r[took], first[took]
+        X[r], L[r], F[r] = Xh[took, first], Lh[took, first], Fh[took, first]
+        norm[r] = np.max(np.abs(F[r]), axis=1)
+    return X, L, norm <= _TOL
+
+
+def _polish(A, B, m, X, L):
+    """Undamped Newton steps on every row, each kept only where it lowers the residual."""
+    n = X.shape[1]
+    F = _system(A, m, X, L)
+    norm = np.max(np.abs(F), axis=1)
+    for _ in range(_POLISH_STEPS):
+        step, ok = _newton_steps(A, B, m, X, L, F)
+        Xt, Lt = X + step[:, :n], L + step[:, n]
+        Ft = _system(A, m, Xt, Lt)
+        nt = np.max(np.abs(Ft), axis=1)
+        keep = ok & (nt < norm)
+        if not keep.any():
+            break
+        X[keep], L[keep], F[keep], norm[keep] = Xt[keep], Lt[keep], Ft[keep], nt[keep]
+    return X, L
 
 
 def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list[EigenPair]:
@@ -166,29 +256,30 @@ def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list
 
     Start vectors are drawn uniformly from the sphere with a fixed seed, the
     initial eigenvalue guess is the Rayleigh-like quotient when it is usable,
-    and converged pairs are deduplicated by eigenvalue within 1e-6.  The
-    returned set is whatever the starts found; completeness is not claimed.
+    and converged pairs are polished by a few undamped Newton steps, then
+    deduplicated by eigenvalue within 1e-6.  The starts are taken from the
+    seed's stream in chunks of a fixed size, and all starts of a chunk take
+    each damped step together.  The returned set is whatever the starts
+    found; completeness is not claimed.
     """
     rng = np.random.default_rng(seed)
     m, n = t.order, t.dim
+    A, B = _operators(t)
+    chunk = max(1, _CHUNK_ELEMENTS // (len(_HALVINGS) * n ** (m - 1)))
     pairs = []
-    for _ in range(starts):
-        v = rng.standard_normal(n)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        x0 = v / nv
-        cx = tz.contract(t, x0)
-        denom = float(np.sum(x0 ** m))
-        lam0 = float(x0 @ cx / denom) if abs(denom) > 1e-8 else 0.0
-        if not np.isfinite(lam0):
-            lam0 = 0.0
-        x, lam, ok = _newton_solve(t, x0, lam0)
-        if not ok or not np.all(np.isfinite(x)) or not np.isfinite(lam):
-            continue
-        pair = _finish_pair(t, lam, x)
-        if pair:
-            pairs.append(pair)
+    for done in range(0, starts, chunk):
+        V = rng.standard_normal((min(chunk, starts - done), n))
+        nv = np.linalg.norm(V, axis=1)
+        X = V[nv != 0.0] / nv[nv != 0.0, None]
+        denom = np.sum(X ** m, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            L = np.einsum("ij,ij->i", X, _contract_rows(A, X, m - 1)) / denom
+        L = np.where((np.abs(denom) > 1e-8) & np.isfinite(L), L, 0.0)
+        X, L, ok = _newton(A, B, m, X, L)
+        for x, lam in zip(*_polish(A, B, m, X[ok], L[ok])):
+            pair = _finish_pair(t, float(lam), x)
+            if pair:
+                pairs.append(pair)
     return _dedupe(pairs, 1e-6)
 
 

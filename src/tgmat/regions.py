@@ -108,7 +108,10 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
     if kind == "gershgorin":
         radius = P
     elif kind == "ostrowski":
-        radius = np.power(P, gamma) * np.power(Q, 1.0 - gamma)
+        # a per-row power of two factored out first, so scaling the tensor
+        # by a power of two scales the radius exactly
+        e = np.frexp(np.maximum(P, Q))[1]
+        radius = np.ldexp(np.power(np.ldexp(P, -e), gamma) * np.power(np.ldexp(Q, -e), 1.0 - gamma), e)
     elif kind == "gammamix":
         radius = gamma * P + (1.0 - gamma) * Q
     elif kind == "cassini":

@@ -160,6 +160,17 @@ class TestOracle:
         vals = {round(float(line.split(",")[0]), 4) for line in out.strip().splitlines()[1:]}
         assert vals <= {2.0, 3.0, 5.0} and vals
 
+    def test_negative_starts_is_usage_error(self, capsys, f44):
+        code, out, err = run(capsys, "oracle", "--input", f44, "--starts", "-5")
+        assert code == 64
+        assert out == ""
+        assert err.strip().splitlines() == ["tgmat: error: --starts must be >= 0"]
+
+    def test_zero_starts_prints_the_header(self, capsys, f44):
+        code, out, _ = run(capsys, "oracle", "--input", f44, "--starts", "0")
+        assert code == 0
+        assert out == "lambda,residual\n"
+
 
 class TestRegionGrid:
     def test_grid_output(self, capsys, f42):

@@ -4,14 +4,97 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse_tensor
+from tgmat import oracle
 from tgmat.errors import NegativeEntry, WrongDimension
 from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton, nqz_spectral_radius
-from tgmat.tensor import DenseTensor, build_tensor, contract, unit_tensor
+from tgmat.tensor import DenseTensor, build_tensor, contract, contract_jacobian, unit_tensor
 
 
 def residual_ok(t, pair):
     res = contract(t, pair.vector) - pair.value * pair.vector ** (t.order - 1)
     return np.max(np.abs(res)) <= 1e-8 * max(1.0, abs(pair.value))
+
+
+def reference_solve(t, x0, lam0, max_iter=80, max_halvings=30):
+    """Damped Newton for one start, one halving at a time."""
+    m, n = t.order, t.dim
+    x, lam = x0.copy(), lam0
+
+    def system(xv, lv):
+        F = np.empty(n + 1)
+        F[:n] = contract(t, xv) - lv * xv ** (m - 1)
+        F[n] = xv @ xv - 1.0
+        return F
+
+    F = system(x, lam)
+    norm = np.max(np.abs(F))
+    for _ in range(max_iter):
+        if norm <= 1e-10:
+            return x, lam, True
+        J = np.empty((n + 1, n + 1))
+        J[:n, :n] = contract_jacobian(t, x)
+        if m == 2:
+            J[:n, :n] -= lam * np.eye(n)
+        else:
+            J[:n, :n] -= lam * (m - 1) * np.diag(x ** (m - 2))
+        J[:n, n] = -(x ** (m - 1))
+        J[n, :n] = 2.0 * x
+        J[n, n] = 0.0
+        try:
+            step = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return x, lam, False
+        scale = 1.0
+        for _ in range(max_halvings):
+            xt = x + scale * step[:n]
+            lt = lam + scale * step[n]
+            Ft = system(xt, lt)
+            nt = np.max(np.abs(Ft))
+            if nt < norm:
+                x, lam, F, norm = xt, lt, Ft, nt
+                break
+            scale *= 0.5
+        else:
+            return x, lam, norm <= 1e-10
+    return x, lam, norm <= 1e-10
+
+
+def reference_start(t, x0):
+    """The Rayleigh-like initial eigenvalue guess for one unit start."""
+    denom = float(np.sum(x0 ** t.order))
+    lam0 = float(x0 @ contract(t, x0) / denom) if abs(denom) > 1e-8 else 0.0
+    return lam0 if np.isfinite(lam0) else 0.0
+
+
+def reference_newton(t, starts, seed):
+    """The multistart search with one start at a time and no polishing."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(starts):
+        v = rng.standard_normal(t.dim)
+        nv = np.linalg.norm(v)
+        if nv == 0.0:
+            continue
+        x0 = v / nv
+        x, lam, ok = reference_solve(t, x0, reference_start(t, x0))
+        if not ok or not np.all(np.isfinite(x)) or not np.isfinite(lam):
+            continue
+        pair = oracle._finish_pair(t, lam, x)
+        if pair:
+            pairs.append(pair)
+    return oracle._dedupe(pairs, 1e-6)
+
+
+def printed(pairs):
+    """The CLI's lambda column, with -0.000000 counted equal to 0.000000."""
+    return [f"{p.value:.6f}".replace("-0.000000", "0.000000") for p in pairs]
+
+
+def batched_solve(t, X0):
+    """The batched engine on given unit starts, with the same initial guesses."""
+    A, B = oracle._operators(t)
+    L0 = np.array([reference_start(t, x0) for x0 in X0])
+    return oracle._newton(A, B, t.order, X0.copy(), L0)
 
 
 class TestExact2D:
@@ -94,6 +177,72 @@ class TestNewton:
         a = [(p.value, tuple(p.vector)) for p in h_eigen_newton(t42, starts=50, seed=7)]
         b = [(p.value, tuple(p.vector)) for p in h_eigen_newton(t42, starts=50, seed=7)]
         assert a == b
+
+
+class TestBatchedNewton:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_matches_serial_reference(self, m, n):
+        rng = np.random.default_rng([m, n])
+        t = DenseTensor(rng.uniform(-1.0, 1.0, (n,) * m))
+        for seed in (1, 2):
+            assert printed(h_eigen_newton(t, starts=30, seed=seed)) == printed(reference_newton(t, 30, seed))
+
+    def test_each_start_matches_its_serial_solve(self):
+        rng = np.random.default_rng(41)
+        for m, n in ((2, 4), (3, 3), (4, 4), (3, 5)):
+            t = DenseTensor(rng.uniform(-1.0, 1.0, (n,) * m))
+            X0 = rng.standard_normal((25, n))
+            X0 /= np.linalg.norm(X0, axis=1)[:, None]
+            X, L, ok = batched_solve(t, X0)
+            for k, x0 in enumerate(X0):
+                x, lam, conv = reference_solve(t, x0, reference_start(t, x0))
+                assert ok[k] == conv, (m, n, k)
+                if conv:
+                    assert L[k] == pytest.approx(lam, abs=1e-8)
+
+    def test_singular_jacobian_fails_only_its_start(self):
+        # a zero component on a diagonal tensor zeroes a whole row of J
+        t = build_tensor(3, 3, {(1, 1, 1): 2.0, (2, 2, 2): 5.0, (3, 3, 3): 3.0})
+        X0 = np.array([[1.0, 1.0, 0.0], [1.0, 0.2, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        X0 /= np.linalg.norm(X0, axis=1)[:, None]
+        assert not reference_solve(t, X0[0], reference_start(t, X0[0]))[2]
+        X, L, ok = batched_solve(t, X0)
+        assert ok.tolist() == [False, True, True, True]
+        assert sorted(np.round(L[1:], 8)) == [2.0, 3.0, 5.0]
+
+    def test_no_start_and_one_start(self, t44):
+        assert h_eigen_newton(t44, starts=0, seed=1) == []
+        assert h_eigen_newton(t44, starts=-5, seed=1) == []
+        assert printed(h_eigen_newton(t44, starts=1, seed=3)) == printed(reference_newton(t44, 1, 3))
+
+    def test_matrix_values_are_eigenvalues(self):
+        rng = np.random.default_rng(42)
+        M = rng.uniform(-1.0, 1.0, (4, 4))
+        M = M + M.T
+        found = [p.value for p in h_eigen_newton(DenseTensor(M), starts=40, seed=1)]
+        assert found
+        eig = np.linalg.eigvalsh(M)
+        for v in found:
+            assert np.min(np.abs(eig - v)) <= 1e-8
+
+    def test_chunking_keeps_the_start_stream(self, t44, monkeypatch):
+        whole = printed(h_eigen_newton(t44, starts=120, seed=5))
+        monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 29 * 4 ** 3 * 7)  # seven starts a chunk
+        assert printed(h_eigen_newton(t44, starts=120, seed=5)) == whole
+
+    def test_polishing_merges_near_duplicates(self):
+        # e3 is an eigenvector whose Newton system is singular at the solution,
+        # so the damped search stops 3e-6 short of a_333 from either side
+        t = build_tensor(3, 3, {
+            (1, 1, 1): 3.034594266490501, (1, 1, 2): -0.6242195784309241, (1, 2, 2): -0.9943459356267599,
+            (2, 1, 1): -0.0637068181121987, (2, 1, 3): -0.1662079187337946, (2, 2, 2): 5.5195683301678,
+            (2, 3, 1): -0.7862974519525201, (3, 1, 2): -0.48245782115569913, (3, 1, 3): -0.09276775629344702,
+            (3, 2, 2): 0.0829323234375885, (3, 2, 3): -0.48409008247801943, (3, 3, 1): 0.8550334017446526,
+            (3, 3, 3): 5.305297878993763,
+        })
+        assert printed(reference_newton(t, 20, 1)) == ["2.804889", "3.075190", "5.305295", "5.305301"]
+        assert printed(h_eigen_newton(t, starts=20, seed=1)) == ["2.804889", "3.075190", "5.305298"]
 
 
 class TestNqz:
