@@ -46,10 +46,6 @@ def _fmt_vec(v) -> str:
     return ",".join(_fmt(float(x)) for x in v)
 
 
-def _load_tensor(path) -> tz.DenseTensor:
-    return tz.load_tensor(path)
-
-
 def _load_state(path) -> sp.SpinState:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -69,7 +65,7 @@ def _emit(lines, output):
 
 
 def cmd_gen_matrix(args) -> int:
-    t = _load_tensor(args.input)
+    t = tz.load_tensor(args.input)
     G = tz.generated_matrix(t)
     lines = [f"order,{t.order}", f"dim,{t.dim}", "matrix"]
     lines += [_fmt_vec(row) for row in G.data]
@@ -82,7 +78,7 @@ def cmd_gen_matrix(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    t = _load_tensor(args.input)
+    t = tz.load_tensor(args.input)
     cert = dom.certify_h_tensor(t)
     lines = [f"verdict,{cert.verdict}"]
     if cert.certified:
@@ -125,7 +121,7 @@ def _bounds_rows(t, kinds, gammas, subset):
 
 
 def cmd_bounds(args) -> int:
-    t = _load_tensor(args.input)
+    t = tz.load_tensor(args.input)
     kinds = args.kind or list(reg.KINDS)
     gammas = args.gamma or list(DEFAULT_GAMMAS)
     if args.subset is not None:
@@ -140,7 +136,7 @@ def cmd_bounds(args) -> int:
 def cmd_oracle(args) -> int:
     if args.starts < 0:
         raise _UsageError("--starts must be >= 0")
-    t = _load_tensor(args.input)
+    t = tz.load_tensor(args.input)
     if t.dim == 2:
         pairs = orc.h_eigen_exact_2d(t)
     else:
@@ -153,20 +149,19 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_region_grid(args) -> int:
-    t = _load_tensor(args.input)
+    t = tz.load_tensor(args.input)
     try:
         parts = [float(v) for v in args.grid.split(":")]
         if len(parts) != 6:
             raise ValueError
         re0, re1, im0, im1, nx, ny = parts
         nx, ny = int(nx), int(ny)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise _UsageError("grid must be re0:re1:im0:im1:nx:ny")
     if nx < 2 or ny < 2:
         raise _UsageError("grid needs nx >= 2 and ny >= 2")
-    kind = args.kind[0] if args.kind else "gershgorin"
     subset = tuple(args.subset) if args.subset is not None else None
-    region = reg.build_region(t, kind, gamma=(args.gamma[0] if args.gamma else None), subset=subset)
+    region = reg.build_region(t, args.kind, gamma=args.gamma, subset=subset)
     rows = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
     # rows are row-major, so the axes are the first of each block of ny and
     # the first block; formatted by position, since -0.0 == 0.0 prints apart
@@ -242,8 +237,8 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("region-grid", help="sample region membership on a grid")
     common(p)
-    p.add_argument("--kind", action="append", choices=list(reg.KINDS))
-    p.add_argument("--gamma", action="append", type=float)
+    p.add_argument("--kind", choices=list(reg.KINDS), default="gershgorin")
+    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--subset", type=_parse_subset, default=None)
     p.add_argument("--grid", required=True, help="re0:re1:im0:im1:nx:ny")
     p.set_defaults(func=cmd_region_grid)

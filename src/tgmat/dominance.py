@@ -88,72 +88,37 @@ def comparison_matrix(M: np.ndarray) -> np.ndarray:
     return C
 
 
-def _row_col_sums(M: np.ndarray):
-    A = np.abs(np.asarray(M, dtype=float))
-    d = np.diag(A).copy()
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return d, off.sum(axis=1), off.sum(axis=0)
-
-
 def _strict_rows(d, radii) -> tuple[int, ...]:
     return tuple(int(i) + 1 for i in np.flatnonzero(gt(d, radii)))
 
 
-def _gamma_interval(upper_pairs, lower_pairs):
-    """Intersect gamma half-lines with [0, 1]; return a candidate midpoint."""
-    lo, hi = 0.0, 1.0
-    for bound in upper_pairs:
-        hi = min(hi, bound)
-    for bound in lower_pairs:
-        lo = max(lo, bound)
-    if lo >= hi:
-        return None
-    return 0.5 * (lo + hi)
+def _search_gamma(d, P, Q, kind: str) -> Optional[float]:
+    """A gamma in [0, 1] with d_i above the kind's radius in every row, or None.
 
-
-def _search_gamma_linear(d, P, Q) -> Optional[float]:
-    upper, lower = [], []
-    for di, pi, qi in zip(d, P, Q):
-        denom = pi - qi
-        rhs = di - qi
-        if denom == 0.0:
-            if not gt(di, qi):
-                return None
-        elif denom > 0:
-            upper.append(rhs / denom)
-        else:
-            lower.append(rhs / denom)
-    return _gamma_interval(upper, lower)
-
-
-def _search_gamma_product(d, P, Q) -> Optional[float]:
-    upper, lower = [], []
-    for di, pi, qi in zip(d, P, Q):
-        if di <= 0:
-            return None
-        if pi == 0.0 or qi == 0.0:
-            continue  # radius degenerates to 0 for any interior gamma
-        denom = math.log(pi) - math.log(qi)
-        rhs = math.log(di) - math.log(qi)
-        if denom == 0.0:
-            if not rhs > 0:
-                return None
-        elif denom > 0:
-            upper.append(rhs / denom)
-        else:
-            lower.append(rhs / denom)
-    return _gamma_interval(upper, lower)
-
-
-def check_dominance(M: np.ndarray, kind: str, gamma: Optional[float] = None) -> DominanceReport:
-    """Test one dominance kind on a square matrix.
-
-    Kinds: 'SDD', 'DD', 'DoublySDD', 'GammaSDD', 'ProductGammaSDD'.  For the
-    gamma kinds a missing ``gamma`` triggers a 1-D feasibility search and the
-    found value is reported.
+    Row i asks gamma (P_i - Q_i) < d_i - Q_i: an upper bound on gamma when
+    P_i > Q_i, a lower one when P_i < Q_i, and d_i > Q_i itself when they
+    are equal.  The candidate is the midpoint of the intersection with
+    [0, 1].  For the product radius the same test runs on the logs; a row
+    with P_i or Q_i zero drops out, its radius being 0 for interior gamma.
     """
-    d, P, Q = _row_col_sums(M)
+    strict = gt
+    if kind == "ProductGammaSDD":
+        if np.any(d <= 0):
+            return None
+        keep = (P != 0.0) & (Q != 0.0)
+        d, P, Q = (np.array([math.log(v) for v in x[keep]]) for x in (d, P, Q))
+        strict = np.greater
+    denom, rhs = P - Q, d - Q
+    flat = denom == 0.0
+    if not strict(d[flat], Q[flat]).all():
+        return None
+    lo = np.max(rhs[denom < 0] / denom[denom < 0], initial=0.0)
+    hi = np.min(rhs[denom > 0] / denom[denom > 0], initial=1.0)
+    return None if lo >= hi else 0.5 * (lo + hi)
+
+
+def _dominance(d, P, Q, kind: str, gamma: Optional[float] = None) -> DominanceReport:
+    """``check_dominance`` on the diagonal moduli d and the deleted row and column sums P and Q."""
     n = len(d)
     if kind == "SDD":
         strict = _strict_rows(d, P)
@@ -167,29 +132,31 @@ def check_dominance(M: np.ndarray, kind: str, gamma: Optional[float] = None) -> 
         if not gt(np.outer(d, d)[pairs], np.outer(P, P)[pairs]).all():
             return DominanceReport(None)
         return DominanceReport("DoublySDD", tuple(range(1, n + 1)))
-    if kind == "GammaSDD":
+    if kind in ("GammaSDD", "ProductGammaSDD"):
         if gamma is None:
-            gamma = _search_gamma_linear(d, P, Q)
+            gamma = _search_gamma(d, P, Q, kind)
             if gamma is None:
                 return DominanceReport(None)
         elif not 0.0 <= gamma <= 1.0:
             raise GammaOutOfRange(f"gamma {gamma} outside [0, 1]")
-        radii = gamma * P + (1.0 - gamma) * Q
+        radii = (tz.mixed_radius if kind == "GammaSDD" else tz.product_radius)(P, Q, gamma)
         if gt(d, radii).all():
-            return DominanceReport("GammaSDD", _strict_rows(d, radii), gamma)
-        return DominanceReport(None, gamma=gamma)
-    if kind == "ProductGammaSDD":
-        if gamma is None:
-            gamma = _search_gamma_product(d, P, Q)
-            if gamma is None:
-                return DominanceReport(None)
-        elif not 0.0 <= gamma <= 1.0:
-            raise GammaOutOfRange(f"gamma {gamma} outside [0, 1]")
-        radii = np.power(P, gamma) * np.power(Q, 1.0 - gamma)
-        if gt(d, radii).all():
-            return DominanceReport("ProductGammaSDD", _strict_rows(d, radii), gamma)
+            return DominanceReport(kind, _strict_rows(d, radii), gamma)
         return DominanceReport(None, gamma=gamma)
     raise ValueError(f"unknown dominance kind {kind!r}")
+
+
+def check_dominance(M: np.ndarray, kind: str, gamma: Optional[float] = None) -> DominanceReport:
+    """Test one dominance kind on a square matrix.
+
+    Kinds: 'SDD', 'DD', 'DoublySDD', 'GammaSDD', 'ProductGammaSDD'.  For the
+    gamma kinds a missing ``gamma`` triggers a 1-D feasibility search and the
+    found value is reported.
+    """
+    off = np.abs(np.asarray(M, dtype=float))
+    d = np.diag(off).copy()
+    np.fill_diagonal(off, 0.0)
+    return _dominance(d, off.sum(axis=1), off.sum(axis=0), kind, gamma)
 
 
 def is_h_matrix(M: np.ndarray) -> HMatrixResult:
@@ -202,7 +169,7 @@ def is_h_matrix(M: np.ndarray) -> HMatrixResult:
     dominant, which is re-verified before the result is returned.
     """
     M = np.asarray(M, dtype=float)
-    d, _, _ = _row_col_sums(M)
+    d = np.abs(np.diag(M))
     n = len(d)
     if np.any(d <= 0.0):
         bad = int(np.argmin(d)) + 1
@@ -262,11 +229,7 @@ def is_weakly_irreducible(t: tz.DenseTensor) -> bool:
 
 def tensor_dd(t: tz.DenseTensor) -> DominanceReport:
     """Diagonal dominance of the tensor itself: |a_{i...i}| against r_i."""
-    return _tensor_dd_with_record(tz.generated_matrix(t))
-
-
-def _tensor_dd_with_record(G: tz.GeneratedMatrix) -> DominanceReport:
-    """``tensor_dd`` from the tensor's generated-matrix record G."""
+    G = tz.generated_matrix(t)
     strict = _strict_rows(G.diag_abs, G.r)
     if len(strict) == G.dim:
         return DominanceReport("SDD", strict)
@@ -277,12 +240,7 @@ def _tensor_dd_with_record(G: tz.GeneratedMatrix) -> DominanceReport:
 
 def is_weakly_chained_dd(t: tz.DenseTensor) -> bool:
     """Diagonally dominant with a walk from every non-strict row into J."""
-    return _weakly_chained_with_record(t, tz.generated_matrix(t))
-
-
-def _weakly_chained_with_record(t: tz.DenseTensor, G: tz.GeneratedMatrix) -> bool:
-    """``is_weakly_chained_dd`` for a tensor whose record G is already built."""
-    rep = _tensor_dd_with_record(G)
+    rep = tensor_dd(t)
     if rep.kind is None or not rep.strict_rows:
         return False
     J = [i - 1 for i in rep.strict_rows]
@@ -290,17 +248,17 @@ def _weakly_chained_with_record(t: tz.DenseTensor, G: tz.GeneratedMatrix) -> boo
     return len(J) == t.dim or bool(_reachable(_tensor_edges(t).T, J).all())
 
 
-def _attach_certificate(t: tz.DenseTensor, d: np.ndarray, rule: str, gamma, x: Optional[np.ndarray],
+def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndarray],
                         note: str = "") -> Certificate:
     """Certify with the tensor scaling y = x^(1/(m-1)) when its slack re-checks strictly.
 
-    ``d`` is |a_{i...i}|.  The slack of row i is 2 d_i y_i^(m-1) minus the
-    row's absolute contraction with y.
+    The slack of row i is 2 |a_{i...i}| y_i^(m-1) minus the row's absolute
+    contraction with y.
     """
     if x is None:
         return Certificate("certified_H", rule, gamma, None, None, note)
     y = np.power(x, 1.0 / (t.order - 1))
-    scale = d * y ** (t.order - 1)
+    scale = tz.generated_matrix(t).diag_abs * y ** (t.order - 1)
     res = 2.0 * scale - tz.contract(tz.DenseTensor(np.abs(t.entries)), y)
     if not np.all(res > EPS * np.maximum(1.0, scale)):
         return Certificate("certified_H", rule, gamma, None, None, note + " (scaling dropped: slack not strict)")
@@ -314,35 +272,32 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
     (searched), the generalized H-matrix test, irreducible DD with a strict
     row, and weakly chained diagonal dominance of the tensor itself.  The
     first rule that fires is reported; the constructive scaling always comes
-    from the H-matrix solve (or is all-ones for SDD).
+    from the H-matrix solve (or is all-ones for SDD).  The matrix rules read
+    d = |a_{i...i}| - s_ii, P and Q from the tensor's record.
     """
-    return _certify_with_record(t, tz.generated_matrix(t))
-
-
-def _certify_with_record(t: tz.DenseTensor, G: tz.GeneratedMatrix) -> Certificate:
-    """``certify_h_tensor`` for a tensor whose generated-matrix record G is already built."""
-    d = G.diag_abs
+    G = tz.generated_matrix(t)
     degenerate = [i + 1 for i in range(t.dim) if G.diag_abs[i] <= G.s_diag[i]]
     if degenerate:
         note = f"rows {degenerate} have |a_ii...i| <= s_ii; matrix rules skipped"
-        if _weakly_chained_with_record(t, G):
-            return _attach_certificate(t, d, "WeaklyChainedDD", None, is_h_matrix(G.data).scaling, note)
+        if is_weakly_chained_dd(t):
+            return _attach_certificate(t, "WeaklyChainedDD", None, is_h_matrix(G.data).scaling, note)
         return Certificate("not_certified", note=note)
-    if check_dominance(G.data, "SDD").kind:
-        return _attach_certificate(t, d, "SDD", None, np.ones(t.dim))
+    d = np.diag(G.data)
+    if _dominance(d, G.P, G.Q, "SDD").kind:
+        return _attach_certificate(t, "SDD", None, np.ones(t.dim))
     # the H-matrix solve supplies the scaling for every later rule; None when it fails
     x = is_h_matrix(G.data).scaling
     for kind in ("DoublySDD", "GammaSDD", "ProductGammaSDD"):
-        rep = check_dominance(G.data, kind)
+        rep = _dominance(d, G.P, G.Q, kind)
         if rep.kind:
-            return _attach_certificate(t, d, kind, rep.gamma, x)
+            return _attach_certificate(t, kind, rep.gamma, x)
     if x is not None:
-        return _attach_certificate(t, d, "GeneralizedH", None, x)
-    dd = check_dominance(G.data, "DD")
+        return _attach_certificate(t, "GeneralizedH", None, x)
+    dd = _dominance(d, G.P, G.Q, "DD")
     if dd.kind and dd.strict_rows and is_irreducible(G.data):
-        return _attach_certificate(t, d, "IrreducibleDD", None, None)
-    if _weakly_chained_with_record(t, G):
-        return _attach_certificate(t, d, "WeaklyChainedDD", None, None)
+        return _attach_certificate(t, "IrreducibleDD", None, None)
+    if is_weakly_chained_dd(t):
+        return _attach_certificate(t, "WeaklyChainedDD", None, None)
     return Certificate("not_certified", note="no sufficient condition fired")
 
 

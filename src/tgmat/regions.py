@@ -108,12 +108,9 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
     if kind == "gershgorin":
         radius = P
     elif kind == "ostrowski":
-        # a per-row power of two factored out first, so scaling the tensor
-        # by a power of two scales the radius exactly
-        e = np.frexp(np.maximum(P, Q))[1]
-        radius = np.ldexp(np.power(np.ldexp(P, -e), gamma) * np.power(np.ldexp(Q, -e), 1.0 - gamma), e)
+        radius = tz.product_radius(P, Q, gamma)
     elif kind == "gammamix":
-        radius = gamma * P + (1.0 - gamma) * Q
+        radius = tz.mixed_radius(P, Q, gamma)
     elif kind == "cassini":
         I, J = np.triu_indices(n, 1)
         zero = np.zeros(len(I))
@@ -214,6 +211,8 @@ def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):
         raise BadGrid("ranges must be (low, high) pairs")
     if nx < 2 or ny < 2:
         raise BadGrid("grid needs nx >= 2 and ny >= 2")
+    if nx * ny > tz.MAX_ENTRIES:
+        raise BadGrid(f"a grid of {nx} x {ny} points is larger than the limit of {tz.MAX_ENTRIES}")
     if not all(np.isfinite(v) for v in (re0, re1, im0, im1)) or re1 < re0 or im1 < im0:
         raise BadGrid("grid ranges must be finite with low <= high")
     res = np.linspace(re0, re1, nx)

@@ -240,7 +240,7 @@ def certify_classicality(state: SpinState) -> ClassicalityVerdict:
             reason=f"negative diagonal entry {np.min(diag):.3e}",
             symmetry=symmetry, diagonal=diag, generated=G.data,
         )
-    cert = dom._certify_with_record(coeff, G)
+    cert = dom.certify_h_tensor(coeff)
     if not cert.certified:
         return ClassicalityVerdict(
             "inconclusive", reason=f"H-tensor cascade inconclusive ({cert.note})",

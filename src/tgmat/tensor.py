@@ -13,7 +13,8 @@ i.e. a tuple contributes once per trailing position holding j.  The
 generated matrix places |a_{i...i}| - s_ii on the diagonal and s_ij off the
 diagonal; its deleted row and column sums (P_i, Q_i) drive the dominance
 tests and the eigenvalue inclusion regions, and the deleted row sum of the
-tensor itself satisfies r_i = s_ii + P_i.
+tensor itself satisfies r_i = s_ii + P_i.  ``generated_matrix`` builds this
+record on its first call for a tensor and keeps it on the tensor.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ __all__ = [
     "s_matrix",
     "row_sums",
     "generated_matrix",
+    "product_radius",
+    "mixed_radius",
     "representation_matrix",
     "classify_symmetry",
     "contract",
@@ -58,9 +61,13 @@ __all__ = [
 
 
 class DenseTensor:
-    """Immutable order-m, dimension-n array of real entries (m >= 2)."""
+    """Immutable order-m, dimension-n array of real entries (m >= 2).
 
-    __slots__ = ("order", "dim", "entries")
+    ``_record`` holds the generated-matrix record once ``generated_matrix``
+    has built it.
+    """
+
+    __slots__ = ("order", "dim", "entries", "_record")
 
     def __init__(self, entries: np.ndarray):
         arr = np.array(entries, dtype=float)
@@ -77,6 +84,7 @@ class DenseTensor:
         self.order = arr.ndim
         self.dim = n
         self.entries = arr
+        self._record = None
 
     def __repr__(self) -> str:
         return f"DenseTensor(order={self.order}, dim={self.dim})"
@@ -90,7 +98,8 @@ class GeneratedMatrix:
     ``diagonal`` holds the signed a_{i...i} and ``diag_abs`` their moduli;
     ``S`` is the matrix of all s_ij and ``s_diag`` its diagonal.  ``P`` and
     ``Q`` are the deleted row and column sums of S (and of ``data``), and
-    ``r`` the deleted row sums of the tensor, r_i = s_ii + P_i.
+    ``r`` the deleted row sums of the tensor, r_i = s_ii + P_i.  Every array
+    is read-only.
     """
 
     dim: int
@@ -191,17 +200,33 @@ def row_sums(t: DenseTensor) -> np.ndarray:
 
 
 def generated_matrix(t: DenseTensor) -> GeneratedMatrix:
-    """The tensor-generated matrix and its statistics, from one pass over the tensor."""
-    S = s_matrix(t)
-    signed = diagonal(t)
-    d = np.abs(signed)
-    s_diag = np.diag(S).copy()
-    data = S.copy()
-    np.fill_diagonal(data, d - s_diag)
-    off = S.copy()
-    np.fill_diagonal(off, 0.0)
-    return GeneratedMatrix(dim=t.dim, data=data, diagonal=signed, diag_abs=d, S=S, s_diag=s_diag,
-                           P=S.sum(axis=1) - s_diag, Q=off.sum(axis=0), r=row_sums(t))
+    """The tensor-generated matrix and its statistics, built from one pass over the tensor on the first call."""
+    if t._record is None:
+        S = s_matrix(t)
+        signed = diagonal(t)
+        s_diag = np.diag(S).copy()
+        off = S - np.diag(s_diag)
+        arrays = dict(data=off + np.diag(np.abs(signed) - s_diag), diagonal=signed, diag_abs=np.abs(signed),
+                      S=S, s_diag=s_diag, P=off.sum(axis=1), Q=off.sum(axis=0), r=row_sums(t))
+        for arr in arrays.values():
+            arr.flags.writeable = False
+        t._record = GeneratedMatrix(dim=t.dim, **arrays)
+    return t._record
+
+
+def product_radius(P, Q, gamma: float) -> np.ndarray:
+    """P_i^gamma Q_i^(1-gamma), the radius of Ostrowski's set and of product gamma-dominance.
+
+    A per-row power of two is factored out of P and Q before the powers, so
+    scaling P and Q by a power of two scales the radius exactly.
+    """
+    e = np.frexp(np.maximum(P, Q))[1]
+    return np.ldexp(np.power(np.ldexp(P, -e), gamma) * np.power(np.ldexp(Q, -e), 1.0 - gamma), e)
+
+
+def mixed_radius(P, Q, gamma: float) -> np.ndarray:
+    """gamma P_i + (1 - gamma) Q_i, the radius of the gamma-mixed set and of gamma-dominance."""
+    return gamma * P + (1.0 - gamma) * Q
 
 
 def representation_matrix(t: DenseTensor) -> np.ndarray:
@@ -220,10 +245,10 @@ def representation_matrix(t: DenseTensor) -> np.ndarray:
 
 
 def _sym_tolerance(arr: np.ndarray) -> float:
-    # exact comparison for integer-valued data, tiny absolute slack otherwise
+    # exact comparison for integer-valued data, slack relative to the largest |a| otherwise
     if np.all(arr == np.round(arr)):
         return 0.0
-    return 1e-12
+    return 1e-12 * float(np.max(np.abs(arr)))
 
 
 def classify_symmetry(t: DenseTensor) -> str:

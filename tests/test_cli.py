@@ -1,12 +1,19 @@
 """End-to-end command line behaviour, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tgmat.tensor as tz
 from conftest import ENTRIES_42, ENTRIES_44
 from tgmat.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_tensor(path, order, dim, entries):
@@ -137,6 +144,15 @@ class TestBounds:
         assert code == 0
         assert "gershgorin,,,1.000000,1.000000" in out
 
+    def test_statistics_built_once(self, capsys, monkeypatch, f44):
+        # every region of the table reads the record kept on the tensor
+        calls = []
+        s_matrix = tz.s_matrix
+        monkeypatch.setattr(tz, "s_matrix", lambda t: calls.append(1) or s_matrix(t))
+        code, out, _ = run(capsys, "bounds", "--input", f44)
+        assert code == 0 and len(out.splitlines()) == 9
+        assert len(calls) == 1
+
     def test_deterministic_output(self, capsys, f44):
         _, out1, _ = run(capsys, "bounds", "--input", f44)
         _, out2, _ = run(capsys, "bounds", "--input", f44)
@@ -200,6 +216,17 @@ class TestRegionGrid:
                          "--grid", "0:1:0:1")
         assert code == 64
 
+    @pytest.mark.parametrize("grid", ["0:1:0:1:4000000:4000000", f"0:1:0:1:2:{tz.MAX_ENTRIES // 2 + 1}"])
+    def test_oversized_grid_is_data_error(self, capsys, f42, grid):
+        code, out, err = run(capsys, "region-grid", "--input", f42, f"--grid={grid}")
+        assert code == 65 and out == ""
+        assert err.count("\n") == 1 and err.startswith("tgmat: data error: ")
+
+    def test_infinite_grid_size_is_usage_error(self, capsys, f42):
+        code, out, err = run(capsys, "region-grid", "--input", f42, "--grid=0:1:0:1:inf:2")
+        assert code == 64 and out == ""
+        assert err == "tgmat: error: grid must be re0:re1:im0:im1:nx:ny\n"
+
 
 class TestSpinCommands:
     def test_spin_certify_mixture(self, capsys, tmp_path):
@@ -256,3 +283,15 @@ class TestUsage:
                            "--output", str(dest))
         assert code == 0 and out == ""
         assert dest.read_text().startswith("kind,gamma,subset,lower,upper")
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("entries", [ENTRIES_44, {}], ids=["certified", "not_certified"])
+    def test_python_m_matches_main(self, capsys, tmp_path, entries):
+        path = write_tensor(tmp_path / "t.json", 4, 4, entries)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "tgmat.cli", "certify", "--input", path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        code, out, _ = run(capsys, "certify", "--input", path)
+        assert (proc.returncode, proc.stdout) == (code, out)
+        assert code == (0 if entries else 2)

@@ -1,5 +1,7 @@
 """Dominance checks, H-matrix decisions, and the certification cascade."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,49 @@ class TestCertifyHTensor:
                 hits += 1
                 assert is_h_matrix(M).is_h
         assert hits >= 50
+
+
+def reference_gamma_search(d, P, Q, product):
+    """The row-by-row gamma search, kept as the reference for the vectorised one."""
+    lo, hi = 0.0, 1.0
+    for di, pi, qi in zip(d, P, Q):
+        if product:
+            if di <= 0:
+                return None
+            if pi == 0.0 or qi == 0.0:
+                continue
+            di, pi, qi = math.log(di), math.log(pi), math.log(qi)
+        denom, rhs = pi - qi, di - qi
+        if denom == 0.0:
+            if not (rhs > 0 if product else dom.gt(di, qi)):
+                return None
+        elif denom > 0:
+            hi = min(hi, rhs / denom)
+        else:
+            lo = max(lo, rhs / denom)
+    return None if lo >= hi else 0.5 * (lo + hi)
+
+
+class TestGammaSearch:
+    @pytest.mark.parametrize("kind", ["GammaSDD", "ProductGammaSDD"])
+    def test_matches_the_row_by_row_search(self, kind):
+        # small integers make rows with P_i = Q_i and zero sums common
+        rng = np.random.default_rng(27)
+        # P = Q, with d above them by less than the margin of compare.gt
+        cases = [np.array([[1.0 + 1e-13, 1.0], [1.0, 2.0]])]
+        cases += [rng.integers(0, 4, (n, n)) * rng.choice([1.0, 0.37], (n, n)) for n in rng.integers(1, 6, 400)]
+        found = 0
+        for M in cases:
+            n = len(M)
+            d = np.diag(M).copy()
+            np.fill_diagonal(M, 0.0)
+            P, Q = M.sum(axis=1), M.sum(axis=0)
+            M[np.diag_indices(n)] = d
+            want = reference_gamma_search(d, P, Q, kind == "ProductGammaSDD")
+            rep = check_dominance(M, kind)
+            assert rep.gamma == want
+            found += want is not None
+        assert found >= 40
 
 
 class TestZAndMTensors:

@@ -1,13 +1,17 @@
-"""Property tests: real bounds scale with the tensor, ignore index labels and hold every Newton eigenvalue."""
+"""Property tests: real bounds scale with the tensor, bounds and certificates ignore
+index labels, and the bounds hold every Newton eigenvalue."""
+
+import random as pyrandom
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sparse_tensor
+from conftest import ENTRIES_42, ENTRIES_44, boosted_diagonal_tensor, random_sparse_tensor
+from tgmat.dominance import certify_h_tensor
 from tgmat.oracle import h_eigen_newton
 from tgmat.regions import KINDS, build_region, real_bounds
-from tgmat.tensor import DenseTensor, generated_matrix
+from tgmat.tensor import DenseTensor, build_tensor, generated_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -28,6 +32,12 @@ def bounds(t, spec):
     kind, gamma, subset = spec
     rb = real_bounds(build_region(t, kind, gamma=gamma, subset=subset))
     return rb.lower, rb.upper
+
+
+def relabel(t, perm):
+    """Entry (i1, ..., im) of t becomes entry (perm[i1], ..., perm[im])."""
+    inverse = np.argsort(perm)
+    return DenseTensor(t.entries[np.ix_(*[inverse] * t.order)])
 
 
 def rounding_scale(t):
@@ -57,9 +67,7 @@ def test_bounds_ignore_index_labels(case, random):
     t, specs = case
     perm = list(range(t.dim))
     random.shuffle(perm)
-    # entry (i1, ..., im) of t becomes entry (perm[i1], ..., perm[im])
-    inverse = np.argsort(perm)
-    relabelled = DenseTensor(t.entries[np.ix_(*[inverse] * t.order)])
+    relabelled = relabel(t, perm)
     tol = 1e-12 * rounding_scale(t)
     for kind, gamma, subset in specs:
         moved = tuple(sorted(perm[i - 1] + 1 for i in subset)) if subset else None
@@ -81,3 +89,24 @@ def test_newton_eigenvalues_lie_in_every_region(case):
             # allow the oracle's own resolution, its 1e-6 dedupe tolerance
             tol = 1e-6 * max(1.0, abs(v))
             assert lower - tol <= v <= upper + tol, (spec, v, lower, upper)
+
+
+# the rules a random draw seldom reaches: DoublySDD on both demos, GammaSDD on the last
+DEMO_42, DEMO_44 = build_tensor(4, 2, ENTRIES_42), build_tensor(4, 4, ENTRIES_44)
+GAMMA_SDD = DenseTensor(np.array([[5.0, 0.0, 0.0], [2.0, 5.0, 0.0], [4.0, 4.0, 2.0]]))
+
+
+def seeded(make):
+    return st.integers(0, 2 ** 32 - 1).map(lambda seed: make(np.random.default_rng(seed)))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(seeded(random_sparse_tensor), seeded(boosted_diagonal_tensor)), st.randoms(use_true_random=False))
+@example(DEMO_42, pyrandom.Random(1))
+@example(DEMO_44, pyrandom.Random(2))
+@example(GAMMA_SDD, pyrandom.Random(3))
+def test_certificate_ignores_index_labels(t, random):
+    perm = list(range(t.dim))
+    random.shuffle(perm)
+    got, want = certify_h_tensor(relabel(t, perm)), certify_h_tensor(t)
+    assert (got.verdict, got.rule, got.gamma) == (want.verdict, want.rule, want.gamma)

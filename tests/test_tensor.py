@@ -21,6 +21,7 @@ from tgmat.errors import (
     TgmatError,
 )
 from tgmat.tensor import (
+    DenseTensor,
     build_tensor,
     classify_symmetry,
     contract,
@@ -139,6 +140,15 @@ class TestGeneratedMatrix:
             G = generated_matrix(t)
             assert np.array_equal(G.data, np.abs(t.entries))
 
+    def test_record_is_built_once_and_kept(self, t44):
+        assert generated_matrix(t44) is generated_matrix(t44)
+
+    @pytest.mark.parametrize("field", ["data", "diagonal", "diag_abs", "S", "s_diag", "P", "Q", "r"])
+    def test_record_arrays_are_read_only(self, t42, field):
+        arr = getattr(generated_matrix(t42), field)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
 
 class TestRepresentationMatrix:
     def test_demo_entry(self, t42):
@@ -183,6 +193,16 @@ class TestSymmetry:
     def test_demo_44_not_symmetric(self, t44):
         assert classify_symmetry(t44) == "none"
 
+    def test_asymmetry_does_not_vanish_when_scaled_down(self):
+        t = random_sparse_tensor(np.random.default_rng(0), order=3, dim=3)
+        assert classify_symmetry(t) == "none"
+        assert classify_symmetry(DenseTensor(1e-13 * t.entries)) == "none"
+
+    def test_roundoff_does_not_break_symmetry_when_scaled_up(self):
+        a = np.array([[0.1, 0.2], [0.2 + 1e-15, 0.3]])
+        assert classify_symmetry(DenseTensor(a)) == "strongly_symmetric"
+        assert classify_symmetry(DenseTensor(1e5 * a)) == "strongly_symmetric"
+
     def test_random_symmetrised(self):
         rng = np.random.default_rng(12)
         import itertools
@@ -192,8 +212,6 @@ class TestSymmetry:
             acc = np.zeros_like(t.entries)
             for perm in itertools.permutations(range(3)):
                 acc += np.transpose(t.entries, perm)
-            from tgmat.tensor import DenseTensor
-
             assert classify_symmetry(DenseTensor(acc)) in ("symmetric", "strongly_symmetric")
 
 
