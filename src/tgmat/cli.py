@@ -99,24 +99,16 @@ def cmd_certify(args) -> int:
 
 
 def _bounds_rows(t, kinds, gammas, subset):
-    rows = []
-    for kind in kinds:
-        if kind in ("ostrowski", "gammamix"):
-            for g in gammas:
-                rows.append((kind, g, None))
-        elif kind == "stype":
-            if subset is None:
-                continue
-            rows.append((kind, None, subset))
-        else:
-            rows.append((kind, None, None))
     out = ["kind,gamma,subset,lower,upper"]
-    for kind, g, sub in rows:
-        region = reg.build_region(t, kind, gamma=g, subset=sub)
-        rb = reg.real_bounds(region)
-        gcol = _fmt(g) if g is not None else ""
-        scol = "+".join(str(i) for i in sub) if sub else ""
-        out.append(f"{kind},{gcol},{scol},{_fmt(rb.lower)},{_fmt(rb.upper)}")
+    for kind in kinds:
+        if kind == "stype" and subset is None:
+            continue
+        sub = subset if kind == "stype" else None
+        for g in gammas if kind in ("ostrowski", "gammamix") else [None]:
+            rb = reg.real_bounds(reg.build_region(t, kind, gamma=g, subset=sub))
+            gcol = _fmt(g) if g is not None else ""
+            scol = "+".join(str(i) for i in sub) if sub else ""
+            out.append(f"{kind},{gcol},{scol},{_fmt(rb.lower)},{_fmt(rb.upper)}")
     return out
 
 
@@ -162,12 +154,12 @@ def cmd_region_grid(args) -> int:
         raise _UsageError("grid needs nx >= 2 and ny >= 2")
     subset = tuple(args.subset) if args.subset is not None else None
     region = reg.build_region(t, args.kind, gamma=args.gamma, subset=subset)
-    rows = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
-    # rows are row-major, so the axes are the first of each block of ny and
-    # the first block; formatted by position, since -0.0 == 0.0 prints apart
-    re_text = [f"{r:.9g}" for r, _, _ in rows[::ny]]
-    im_text = [f"{i:.9g}" for _, i, _ in rows[:ny]]
-    lines = ["re,im,member"] + [f"{re_text[k // ny]},{im_text[k % ny]},{m}" for k, (_, _, m) in enumerate(rows)]
+    res, ims, member = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
+    cells = [(f",{i:.9g},0", f",{i:.9g},1") for i in ims.tolist()]
+    lines = ["re,im,member"]
+    for r, row in zip(res.tolist(), member):
+        text = f"{r:.9g}"
+        lines.append("\n".join([text + cell[m] for cell, m in zip(cells, row.tolist())]))
     _emit(lines, args.output)
     return EXIT_OK
 

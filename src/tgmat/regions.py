@@ -10,7 +10,8 @@ degenerate brackets are always included.
 
 The pair kinds test every index pair (i, j) at once: ``build_region``
 stores the pair index arrays with the z-independent offsets and right-hand
-sides, and membership broadcasts one test over (points, pairs).
+sides, and membership broadcasts one test over (points, pairs) for each
+fixed-size chunk of points.
 
 Real-axis bounds are closed-form: a disc reaches a_i -+ (s_ii + radius_i),
 and a pair the roots of a quadratic.  Each end is rounded outward by a bound
@@ -34,7 +35,7 @@ KINDS = ("gershgorin", "cassini", "ostrowski", "gammamix", "stype", "ssingleton"
 
 _PAIR_KINDS = ("cassini", "stype", "ssingleton")
 
-# points x pairs elements in one broadcast pair test; bounds the temporaries
+# points x max(n, pairs) numbers in one chunk's temporaries
 _CHUNK_ELEMENTS = 2 ** 13
 
 
@@ -129,38 +130,41 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
 
 
 def membership(region: Region, z) -> bool | np.ndarray:
-    """Whether z (scalar or array of complex) belongs to the region."""
+    """Whether z (scalar or array of complex) belongs to the region, tested in fixed-size chunks of points."""
     za = np.asarray(z, dtype=complex)
-    scalar = za.ndim == 0
-    za = np.atleast_1d(za)
-    out = _membership_array(region, za)
-    return bool(out[0]) if scalar else out.reshape(np.shape(z))
+    flat = za.ravel()
+    G, pairs = region.stats, region.pairs
+    test = _disc_test if pairs is None else _annulus_test if region.kind == "stype" else _pair_test
+    step = max(1, _CHUNK_ELEMENTS // max(G.dim, len(pairs.i) if pairs else 0))
+    member = np.empty(flat.shape, dtype=bool)
+    for s in range(0, len(flat), step):
+        # f_i(z) = |z - a_{i...i}| - s_ii, shape (points, n)
+        f = np.abs(flat[s:s + step, None] - G.diagonal) - G.s_diag
+        member[s:s + step] = test(region, f)
+    return bool(member[0]) if za.ndim == 0 else member.reshape(za.shape)
 
 
-def _membership_array(region: Region, z: np.ndarray) -> np.ndarray:
-    # f_i(z) = |z - a_{i...i}| - s_ii, shape (points, n)
-    f = np.abs(z.ravel()[:, None] - region.stats.diagonal) - region.stats.s_diag
-    if region.radius is not None:
-        return leq(f, region.radius).any(axis=-1)
+def _disc_test(region: Region, f: np.ndarray) -> np.ndarray:
+    return leq(f, region.radius).any(axis=-1)
+
+
+def _pair_test(region: Region, f: np.ndarray) -> np.ndarray:
+    I, J, off_i, off_j, rhs = region.pairs
+    bi = f[:, I] - off_i
+    bj = f[:, J] - off_j
+    excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rhs)
+    return ~excluded.all(axis=-1)
+
+
+def _annulus_test(region: Region, f: np.ndarray) -> np.ndarray:
     # For the split-sum kinds the outer absolute value |f| widens the member
     # side (annular components), but a point may be EXCLUDED only when the
     # signed brackets f are positive: the exclusion argument runs through
     # strict dominance of the shifted tensor's generated matrix, whose
     # diagonal is f itself, so a negative f with large |f| proves nothing.
     # With f > 0 the two bracket forms coincide.
-    if region.kind == "stype":
-        sub0 = [i - 1 for i in region.subset]
-        member = leq(np.abs(f[:, sub0]), region.rS[sub0]).any(axis=-1)
-    else:
-        member = np.zeros(len(f), dtype=bool)
-    I, J, off_i, off_j, rhs = region.pairs
-    step = max(1, _CHUNK_ELEMENTS // len(I))
-    for s in range(0, len(f), step):
-        bi = f[s:s + step, I] - off_i
-        bj = f[s:s + step, J] - off_j
-        excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rhs)
-        member[s:s + step] |= ~excluded.all(axis=-1)
-    return member
+    sub0 = [i - 1 for i in region.subset]
+    return leq(np.abs(f[:, sub0]), region.rS[sub0]).any(axis=-1) | _pair_test(region, f)
 
 
 def real_bounds(region: Region) -> RealBounds:
@@ -203,7 +207,7 @@ def real_bounds(region: Region) -> RealBounds:
 
 
 def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):
-    """Row-major membership samples; rows are (re, im, member in {0, 1})."""
+    """The grid's real axis, its imaginary axis and the (nx, ny) boolean member matrix."""
     try:
         re0, re1 = (float(v) for v in re_range)
         im0, im1 = (float(v) for v in im_range)
@@ -217,7 +221,4 @@ def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):
         raise BadGrid("grid ranges must be finite with low <= high")
     res = np.linspace(re0, re1, nx)
     ims = np.linspace(im0, im1, ny)
-    Z = res[:, None] + 1j * ims[None, :]
-    mem = membership(region, Z).astype(int)
-    ims_list = ims.tolist()
-    return [(r, i, m) for r, mrow in zip(res.tolist(), mem.tolist()) for i, m in zip(ims_list, mrow)]
+    return res, ims, membership(region, res[:, None] + 1j * ims)

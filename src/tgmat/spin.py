@@ -264,7 +264,7 @@ def state_from_json(obj: dict) -> SpinState:
     """
     try:
         m = int(obj["m"])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise TgmatError("state file needs an integer 'm'")
     if "components" in obj:
         comps = obj["components"]
@@ -276,9 +276,10 @@ def state_from_json(obj: dict) -> SpinState:
         return classical_mixture(m, weights, directions)
     try:
         re = np.asarray(obj["rho_re"], dtype=float)
+        # an omitted 'rho_im' and a null one both mean a real density matrix
+        im = np.zeros_like(re) if obj.get("rho_im") is None else np.asarray(obj["rho_im"], dtype=float)
     except (KeyError, TypeError, ValueError):
-        raise TgmatError("state file needs 'rho_re' (or 'components')")
-    im = np.asarray(obj.get("rho_im", np.zeros_like(re)), dtype=float)
+        raise TgmatError("state file needs numeric 'rho_re' (or 'components') and an optional numeric 'rho_im'")
     if re.shape != im.shape:
         raise TgmatError("rho_re and rho_im must have the same shape")
     return spin_state(m, re + 1j * im)

@@ -316,7 +316,7 @@ def contract_jacobian(t: DenseTensor, x) -> np.ndarray:
         for axis in range(m - 1, 0, -1):
             if axis == k:
                 continue
-            v = np.tensordot(v, x, axes=(axis if axis < k else axis, 0))
+            v = np.tensordot(v, x, axes=(axis, 0))
         J += v
     return J
 
@@ -360,7 +360,7 @@ def _parse_value(idx, raw):
         raise TgmatError(f"entry {idx}: value must be a number or an [re, im] pair, not a boolean")
     if isinstance(raw, (int, float)):
         return float(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw):
         re, im = float(raw[0]), float(raw[1])
         if im == 0.0:
             return re
@@ -381,15 +381,15 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     try:
         order = int(obj["order"])
         dim = int(obj["dim"])
-        raw_entries = obj["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        raw_entries = list(obj["entries"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise TgmatError(f"tensor file needs integer 'order', 'dim' and an 'entries' list: {exc}")
     pairs = []
     for pos, item in enumerate(raw_entries):
         try:
             idx = tuple(int(k) for k in item["idx"])
             raw_val = item["val"]
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise TgmatError(f"entry #{pos}: expected an object with 'idx' and 'val'")
         if len(idx) != order:
             raise IndexOutOfRange(f"entry #{pos}: idx {list(idx)} does not have {order} components")

@@ -84,6 +84,31 @@ class TestGenMatrix:
         assert code == 65
 
 
+DIAG_21 = {"idx": [1, 1], "val": 1.0}
+RHO_3 = [[0.5, 0, 0], [0, 0, 0], [0, 0, 0.5]]
+
+
+@pytest.mark.parametrize("command,obj", [
+    ("certify", {"order": 2, "dim": 2, "entries": 5}),
+    ("certify", {"order": 2, "dim": 2, "entries": [DIAG_21, {"idx": [1, 2], "val": [1, "a"]}]}),
+    ("certify", {"order": 2, "dim": 2, "entries": [DIAG_21, {"idx": [1, 2], "val": [[1], 2]}]}),
+    ("certify", {"order": 2, "dim": 2, "entries": [DIAG_21, {"idx": [1, 2], "val": [1, None]}]}),
+    ("certify", {"order": float("inf"), "dim": 2, "entries": []}),
+    ("certify", {"order": 2, "dim": 2, "entries": [{"idx": [float("inf"), 1], "val": 1.0}]}),
+    ("spin-certify", {"m": 2, "rho_re": RHO_3, "rho_im": "x"}),
+    ("spin-certify", {"m": 1, "rho_re": [[0.5, 0], [0, 0.5]], "rho_im": [[0, 0], [0]]}),
+    ("spin-certify", {"m": 1, "rho_re": [[0.5, 0], [0]]}),
+    ("spin-certify", {"m": float("inf"), "rho_re": RHO_3}),
+], ids=["entries-number", "val-string", "val-nested", "val-null", "order-inf", "idx-inf",
+        "rho_im-string", "rho_im-ragged", "rho_re-ragged", "m-inf"])
+def test_malformed_json_is_data_error(capsys, tmp_path, command, obj):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(obj))  # writes inf as the JSON extension Infinity, which json.load reads
+    code, out, err = run(capsys, command, "--input", str(p))
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1 and err.startswith("tgmat: data error: ")
+
+
 class TestCertify:
     def test_demo_42_certified(self, capsys, f42):
         code, out, _ = run(capsys, "certify", "--input", f42)

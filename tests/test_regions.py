@@ -1,6 +1,7 @@
 """Inclusion regions: membership predicates, real bounds, grid sampling."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -238,7 +239,8 @@ class TestRealBounds:
             raise AssertionError("real_bounds must not probe membership")
 
         monkeypatch.setattr(regions, "membership", fail)
-        monkeypatch.setattr(regions, "_membership_array", fail)
+        for test in ("_disc_test", "_pair_test", "_annulus_test"):
+            monkeypatch.setattr(regions, test, fail)
         rng = np.random.default_rng(47)
         for reg in every_region(t44, rng):
             real_bounds(reg)
@@ -305,26 +307,26 @@ class TestRegionRelations:
 
 
 class TestGridSample:
+    def test_row_major_order(self, t42):
+        # member[k, l] is the point res[k] + i ims[l]
+        reg = build_region(t42, "gershgorin")
+        res, ims, member = grid_sample(reg, (-1.0, 14.0), (-3.0, 3.0), 16, 7)
+        assert np.array_equal(res, np.linspace(-1.0, 14.0, 16))
+        assert np.array_equal(ims, np.linspace(-3.0, 3.0, 7))
+        assert member.dtype == bool and member.shape == (16, 7)
+
     def test_node_on_disc(self):
         reg = build_region(unit_tensor(4, 3), "gershgorin")
-        rows = grid_sample(reg, (0.0, 2.0), (-1.0, 1.0), 3, 3)
-        members = [(r, i) for r, i, m in rows if m]
-        assert members == [(1.0, 0.0)]
+        res, ims, member = grid_sample(reg, (0.0, 2.0), (-1.0, 1.0), 3, 3)
+        assert [(res[k], ims[l]) for k, l in zip(*np.nonzero(member))] == [(1.0, 0.0)]
 
     def test_demo_grid_self_consistent(self, t42):
         reg = build_region(t42, "cassini")
-        rows = grid_sample(reg, (-1.0, 14.0), (-3.0, 3.0), 16, 7)
-        count = 0
-        for r, i, m in rows:
-            assert m == int(bool(membership(reg, complex(r, i))))
-            count += m
-        assert count > 0
-
-    def test_row_major_order(self, t42):
-        reg = build_region(t42, "gershgorin")
-        rows = grid_sample(reg, (0.0, 1.0), (0.0, 1.0), 2, 3)
-        assert [(r, i) for r, i, _ in rows] == [
-            (0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0)]
+        res, ims, member = grid_sample(reg, (-1.0, 14.0), (-3.0, 3.0), 16, 7)
+        for k, r in enumerate(res):
+            for l, i in enumerate(ims):
+                assert member[k, l] == membership(reg, complex(r, i))
+        assert member.any()
 
     def test_bad_grid(self, t42):
         reg = build_region(t42, "gershgorin")
@@ -334,6 +336,22 @@ class TestGridSample:
             grid_sample(reg, (1.0, 0.0), (0.0, 1.0), 3, 3)
         with pytest.raises(BadGrid):
             grid_sample(reg, (0.0, float("inf")), (0.0, 1.0), 3, 3)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_membership_memory_does_not_grow_with_points(t44, kind):
+    gamma = 0.5 if kind in ("ostrowski", "gammamix") else None
+    reg = build_region(t44, kind, gamma=gamma, subset=(1, 2) if kind == "stype" else None)
+    z = np.linspace(-20, 20, 200_000) + 1j * np.linspace(-5, 5, 200_000)
+    membership(reg, z[:10])  # first-call allocations are not per point
+    tracemalloc.start()
+    try:
+        member = membership(reg, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member.any() and not member.all()
+    assert peak < 8 * len(z)
 
 
 def test_all_kinds_have_real_members(t44):

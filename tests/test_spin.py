@@ -267,6 +267,8 @@ class TestStateJson:
         obj = {"m": 2, "rho_re": np.eye(3).tolist()}
         st = state_from_json({"m": 2, "rho_re": (np.eye(3) / 3).tolist()})
         assert st.m == 2
+        # a null rho_im means the same as an omitted one
+        assert np.array_equal(state_from_json({"m": 2, "rho_re": (np.eye(3) / 3).tolist(), "rho_im": None}).rho, st.rho)
         with pytest.raises(TraceNotOne):
             state_from_json(obj)
 
