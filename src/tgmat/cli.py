@@ -10,6 +10,7 @@ grid samples), so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -56,12 +57,9 @@ def _load_state(path) -> sp.SpinState:
 
 
 def _emit(lines, output):
-    text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write each line as it comes, to the file ``output`` or to stdout."""
+    with open(output, "w", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 def cmd_gen_matrix(args) -> int:
@@ -156,11 +154,14 @@ def cmd_region_grid(args) -> int:
     region = reg.build_region(t, args.kind, gamma=args.gamma, subset=subset)
     res, ims, member = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
     cells = [(f",{i:.9g},0", f",{i:.9g},1") for i in ims.tolist()]
-    lines = ["re,im,member"]
-    for r, row in zip(res.tolist(), member):
-        text = f"{r:.9g}"
-        lines.append("\n".join([text + cell[m] for cell, m in zip(cells, row.tolist())]))
-    _emit(lines, args.output)
+
+    def rows():  # one grid row at a time: the text of the whole grid is never held
+        yield "re,im,member"
+        for r, row in zip(res.tolist(), member):
+            text = f"{r:.9g}"
+            yield "\n".join([text + cell[m] for cell, m in zip(cells, row.tolist())])
+
+    _emit(rows(), args.output)
     return EXIT_OK
 
 

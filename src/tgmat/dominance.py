@@ -192,18 +192,6 @@ def is_h_matrix(M: np.ndarray) -> HMatrixResult:
     return HMatrixResult(True, x, rho)
 
 
-def _tensor_edges(t: tz.DenseTensor) -> np.ndarray:
-    """Edges i -> j (i != j) where some nonzero a_{i i2...im} has j among i2..im.
-
-    The pattern of S can lose an edge: a subnormal |a| / (m - 1) may be 0.
-    """
-    nonzero, trailing = t.entries != 0, range(1, t.order)
-    # axis k of the trailing ones holds j: OR over all the others
-    adj = np.any([nonzero.any(axis=tuple(a for a in trailing if a != k)) for k in trailing], axis=0)
-    np.fill_diagonal(adj, False)  # the diagonal tuple only reaches adj[i, i]
-    return adj
-
-
 def _reachable(adj: np.ndarray, start) -> np.ndarray:
     """Mask of the nodes reachable from the ``start`` nodes along the edges of ``adj``."""
     seen = np.zeros(len(adj), dtype=bool)
@@ -224,18 +212,15 @@ def is_irreducible(M: np.ndarray) -> bool:
 
 
 def is_weakly_irreducible(t: tz.DenseTensor) -> bool:
-    return is_irreducible(_tensor_edges(t))
+    return is_irreducible(tz.generated_matrix(t).edges)
 
 
 def tensor_dd(t: tz.DenseTensor) -> DominanceReport:
     """Diagonal dominance of the tensor itself: |a_{i...i}| against r_i."""
     G = tz.generated_matrix(t)
     strict = _strict_rows(G.diag_abs, G.r)
-    if len(strict) == G.dim:
-        return DominanceReport("SDD", strict)
-    if np.all(G.diag_abs >= G.r):
-        return DominanceReport("DD", strict)
-    return DominanceReport(None, strict)
+    kind = "SDD" if len(strict) == G.dim else "DD" if np.all(G.diag_abs >= G.r) else None
+    return DominanceReport(kind, strict)
 
 
 def is_weakly_chained_dd(t: tz.DenseTensor) -> bool:
@@ -245,7 +230,7 @@ def is_weakly_chained_dd(t: tz.DenseTensor) -> bool:
         return False
     J = [i - 1 for i in rep.strict_rows]
     # every row has a walk into J iff J reaches every row along reversed edges
-    return len(J) == t.dim or bool(_reachable(_tensor_edges(t).T, J).all())
+    return len(J) == t.dim or bool(_reachable(tz.generated_matrix(t).edges.T, J).all())
 
 
 def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndarray],
@@ -303,10 +288,7 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
 
 def is_z_tensor(t: tz.DenseTensor) -> bool:
     """True when every off-diagonal entry is nonpositive."""
-    mask = np.ones(t.entries.shape, dtype=bool)
-    for i in range(t.dim):
-        mask[(i,) * t.order] = False
-    return bool(np.all(t.entries[mask] <= 0.0))
+    return bool(np.all(np.delete(t.entries, tz._diagonal_positions(t.order, t.dim)) <= 0.0))
 
 
 def is_m_tensor(t: tz.DenseTensor):
@@ -327,7 +309,8 @@ def is_m_tensor(t: tz.DenseTensor):
     s = float(np.max(d))
     if s <= 0.0:
         return False, None
-    B = s * tz.unit_tensor(t.order, t.dim).entries - t.entries
+    B = -t.entries
+    B.flat[tz._diagonal_positions(t.order, t.dim)] += s
     rho = nqz_spectral_radius(tz.DenseTensor(B))
     if s > rho + 1e-9:
         return True, "NQZ"

@@ -297,8 +297,7 @@ def nqz_spectral_radius(t: tz.DenseTensor, tol: float = 1e-9, max_iter: int = 10
     eps = 1e-9
     m, n = t.order, t.dim
     arr = t.entries.copy()
-    for i in range(n):
-        arr[(i,) * m] += eps
+    arr.flat[tz._diagonal_positions(m, n)] += eps
     reg = tz.DenseTensor(arr)
     x = np.ones(n)
     lo = hi = None

@@ -152,7 +152,10 @@ def _pair_test(region: Region, f: np.ndarray) -> np.ndarray:
     I, J, off_i, off_j, rhs = region.pairs
     bi = f[:, I] - off_i
     bj = f[:, J] - off_j
-    excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rhs)
+    # far from the tensor's scale bi * bj may overflow; it counts only where both
+    # brackets are positive, and there +inf beats every finite rhs, as it should
+    with np.errstate(over="ignore"):
+        excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rhs)
     return ~excluded.all(axis=-1)
 
 
@@ -217,8 +220,9 @@ def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):
         raise BadGrid("grid needs nx >= 2 and ny >= 2")
     if nx * ny > tz.MAX_ENTRIES:
         raise BadGrid(f"a grid of {nx} x {ny} points is larger than the limit of {tz.MAX_ENTRIES}")
-    if not all(np.isfinite(v) for v in (re0, re1, im0, im1)) or re1 < re0 or im1 < im0:
-        raise BadGrid("grid ranges must be finite with low <= high")
+    # a finite width has finite ends; a width that overflows would give nan axes
+    if not (np.isfinite(re1 - re0) and np.isfinite(im1 - im0)) or re1 < re0 or im1 < im0:
+        raise BadGrid("grid ranges need low <= high and a finite width high - low")
     res = np.linspace(re0, re1, nx)
     ims = np.linspace(im0, im1, ny)
     return res, ims, membership(region, res[:, None] + 1j * ims)

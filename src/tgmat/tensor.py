@@ -13,8 +13,10 @@ i.e. a tuple contributes once per trailing position holding j.  The
 generated matrix places |a_{i...i}| - s_ii on the diagonal and s_ij off the
 diagonal; its deleted row and column sums (P_i, Q_i) drive the dominance
 tests and the eigenvalue inclusion regions, and the deleted row sum of the
-tensor itself satisfies r_i = s_ii + P_i.  ``generated_matrix`` builds this
-record on its first call for a tensor and keeps it on the tensor.
+tensor itself satisfies r_i = s_ii + P_i.  The tensor's digraph has an edge
+i -> j (i != j) where (m-1) s_ij, the sum, is nonzero.  ``generated_matrix``
+builds this record in one pass over the rows of |A| on its first call for a
+tensor and keeps it on the tensor.
 """
 
 from __future__ import annotations
@@ -98,8 +100,9 @@ class GeneratedMatrix:
     ``diagonal`` holds the signed a_{i...i} and ``diag_abs`` their moduli;
     ``S`` is the matrix of all s_ij and ``s_diag`` its diagonal.  ``P`` and
     ``Q`` are the deleted row and column sums of S (and of ``data``), and
-    ``r`` the deleted row sums of the tensor, r_i = s_ii + P_i.  Every array
-    is read-only.
+    ``r`` the deleted row sums of the tensor, r_i = s_ii + P_i.  ``edges`` is
+    S != 0 off the diagonal, also where s_ij underflows to 0.  Every array is
+    read-only.
     """
 
     dim: int
@@ -111,6 +114,7 @@ class GeneratedMatrix:
     P: np.ndarray
     Q: np.ndarray
     r: np.ndarray
+    edges: np.ndarray
 
 
 # largest dense tensor built from a description, in entries (128 MiB of float64)
@@ -154,11 +158,15 @@ def build_tensor(order: int, dim: int, entries) -> DenseTensor:
     return DenseTensor(arr)
 
 
+def _diagonal_positions(order: int, dim: int) -> np.ndarray:
+    """Flat C-order positions of the diagonal tuples (i, ..., i) in an array of shape (dim,) * order."""
+    return np.arange(dim) * sum(dim ** k for k in range(order))
+
+
 def unit_tensor(order: int, dim: int) -> DenseTensor:
     """Tensor with ones on the diagonal tuples and zeros elsewhere."""
     arr = _dense_zeros(order, dim)
-    for i in range(dim):
-        arr[(i,) * order] = 1.0
+    arr.flat[_diagonal_positions(order, dim)] = 1.0
     return DenseTensor(arr)
 
 
@@ -168,46 +176,46 @@ def zero_tensor(order: int, dim: int) -> DenseTensor:
 
 def diagonal(t: DenseTensor) -> np.ndarray:
     """The signed diagonal entries a_{i...i} as a length-n vector."""
-    n = t.dim
-    return np.array([t.entries[(i,) * t.order] for i in range(n)])
+    return t.entries.flat[_diagonal_positions(t.order, t.dim)]
 
 
 def s_matrix(t: DenseTensor) -> np.ndarray:
-    """All statistics s_ij at once, as an n x n nonnegative matrix."""
-    m, n = t.order, t.dim
-    absA = np.abs(t.entries)
-    S = np.zeros((n, n))
-    trailing = m - 1
-    for i in range(n):
-        row = absA[i].copy()
-        row[(i,) * trailing] = 0.0  # the diagonal tuple is excluded everywhere
-        if trailing == 1:
-            S[i] = row
-            continue
-        acc = np.zeros(n)
-        for axis in range(trailing):
-            other = tuple(a for a in range(trailing) if a != axis)
-            acc += row.sum(axis=other)
-        S[i] = acc / trailing
-    return S
+    """All statistics s_ij at once, as an n x n nonnegative matrix (the record's ``S``)."""
+    return generated_matrix(t).S
 
 
 def row_sums(t: DenseTensor) -> np.ndarray:
-    """Deleted row sums r_i over all non-diagonal tuples starting at i."""
+    """Deleted row sums r_i over all non-diagonal tuples starting at i (the record's ``r``)."""
+    return generated_matrix(t).r
+
+
+def _row_pass(t: DenseTensor):
+    """Each |A[i]| taken once: the deleted row sums r, and (m - 1) s_ij before the division."""
     m, n = t.order, t.dim
-    absA = np.abs(t.entries)
-    return np.array([absA[i].sum() - absA[(i,) * m] for i in range(n)])
+    # trailing axis k holds j: sum over all the others
+    others = [tuple(a for a in range(m - 1) if a != k) for k in range(m - 1)]
+    r, mass = np.empty(n), np.zeros((n, n))
+    for i, p in enumerate(_diagonal_positions(m - 1, n).tolist()):  # p: where (i, ..., i) sits in row i
+        row = np.abs(t.entries[i], order="C")  # the same sums whatever the tensor's memory layout
+        r[i] = row.sum() - row.flat[p]
+        row.flat[p] = 0.0  # the diagonal tuple is excluded everywhere
+        for other in others:
+            mass[i] += row.sum(axis=other)
+    return r, mass
 
 
 def generated_matrix(t: DenseTensor) -> GeneratedMatrix:
     """The tensor-generated matrix and its statistics, built from one pass over the tensor on the first call."""
     if t._record is None:
-        S = s_matrix(t)
         signed = diagonal(t)
+        r, mass = _row_pass(t)
+        S = mass / (t.order - 1)
+        edges = mass != 0.0  # a sum of moduli is 0 only when every term is
+        np.fill_diagonal(edges, False)
         s_diag = np.diag(S).copy()
         off = S - np.diag(s_diag)
         arrays = dict(data=off + np.diag(np.abs(signed) - s_diag), diagonal=signed, diag_abs=np.abs(signed),
-                      S=S, s_diag=s_diag, P=off.sum(axis=1), Q=off.sum(axis=0), r=row_sums(t))
+                      S=S, s_diag=s_diag, P=off.sum(axis=1), Q=off.sum(axis=0), r=r, edges=edges)
         for arr in arrays.values():
             arr.flags.writeable = False
         t._record = GeneratedMatrix(dim=t.dim, **arrays)

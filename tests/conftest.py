@@ -97,6 +97,16 @@ def boosted_diagonal_tensor(rng, order=None, dim=None, margin_low=0.1, margin_hi
     return DenseTensor(arr)
 
 
+def count_row_passes(monkeypatch):
+    """Record every call of the row pass that builds a tensor's statistics; returns the list of calls."""
+    import tgmat.tensor as tz
+
+    calls = []
+    row_pass = tz._row_pass
+    monkeypatch.setattr(tz, "_row_pass", lambda t: calls.append(t) or row_pass(t))
+    return calls
+
+
 def brute_s_stat(t, i, j):
     """Triple-loop definition of s_ij, independent of the vectorised path."""
     m, n = t.order, t.dim

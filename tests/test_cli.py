@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tgmat.tensor as tz
-from conftest import ENTRIES_42, ENTRIES_44
+from conftest import ENTRIES_42, ENTRIES_44, count_row_passes
 from tgmat.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -171,9 +173,7 @@ class TestBounds:
 
     def test_statistics_built_once(self, capsys, monkeypatch, f44):
         # every region of the table reads the record kept on the tensor
-        calls = []
-        s_matrix = tz.s_matrix
-        monkeypatch.setattr(tz, "s_matrix", lambda t: calls.append(1) or s_matrix(t))
+        calls = count_row_passes(monkeypatch)
         code, out, _ = run(capsys, "bounds", "--input", f44)
         assert code == 0 and len(out.splitlines()) == 9
         assert len(calls) == 1
@@ -246,6 +246,38 @@ class TestRegionGrid:
         code, out, err = run(capsys, "region-grid", "--input", f42, f"--grid={grid}")
         assert code == 65 and out == ""
         assert err.count("\n") == 1 and err.startswith("tgmat: data error: ")
+
+    def test_overflowing_grid_width_is_data_error(self, capsys, f42):
+        code, out, err = run(capsys, "region-grid", "--input", f42, "--grid=-1e308:1e308:-1e308:1e308:2:2")
+        assert code == 65 and out == ""
+        assert err.count("\n") == 1 and err.startswith("tgmat: data error: ")
+
+    @pytest.mark.parametrize("kind", ["cassini", "stype", "ssingleton"])
+    def test_far_grid_has_no_members_and_no_warning(self, capsys, f44, kind):
+        # the bracket products overflow; +inf still excludes, and silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "region-grid", "--input", f44, "--kind", kind, "--subset", "1,2",
+                                 "--grid=1e-300:2e-300:-1e300:1e300:5:4")
+        rows = out.splitlines()[1:]
+        assert code == 0 and err == "" and len(rows) == 20
+        assert all(row.endswith(",0") for row in rows)
+
+    def test_grid_text_is_streamed(self, capsys, tmp_path, f44):
+        # rows go to the file as they are formatted: the peak stays near the
+        # 16-byte complex point and the 1-byte member of each grid point
+        dest = tmp_path / "grid.csv"
+        argv = ["region-grid", "--input", f44, "--kind", "cassini", "--output", str(dest)]
+        run(capsys, *argv, "--grid=-20:20:-5:5:5:4")  # first-call allocations are not per point
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, *argv, "--grid=-20:20:-5:5:500:400")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out == ""
+        assert dest.read_text().count("\n") == 1 + 500 * 400
+        assert peak < 32 * 500 * 400
 
     def test_infinite_grid_size_is_usage_error(self, capsys, f42):
         code, out, err = run(capsys, "region-grid", "--input", f42, "--grid=0:1:0:1:inf:2")

@@ -336,6 +336,36 @@ class TestGridSample:
             grid_sample(reg, (1.0, 0.0), (0.0, 1.0), 3, 3)
         with pytest.raises(BadGrid):
             grid_sample(reg, (0.0, float("inf")), (0.0, 1.0), 3, 3)
+        with pytest.raises(BadGrid, match="finite width"):
+            grid_sample(reg, (0.0, 1.0), (-1e308, 1e308), 3, 3)
+
+
+class TestFarPoints:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_far_points_are_not_members(self, t44, kind):
+        # their brackets, or the products of two brackets, overflow to +inf
+        gamma = 0.5 if kind in ("ostrowski", "gammamix") else None
+        reg = build_region(t44, kind, gamma=gamma, subset=(1, 2) if kind == "stype" else None)
+        far = [1e160, 1e200j, 1.5e308 * (1 + 1j)]
+        assert not any(membership(reg, z) for z in far)
+        assert not membership(reg, np.array(far)).any()
+
+    def test_infinity_exceeds_every_finite_value(self):
+        big = np.finfo(float).max
+        assert gt(np.inf, big) and gt(np.inf, -big) and gt(np.inf, 0.0)
+        assert not leq(np.inf, big) and leq(big, np.inf)
+        assert not gt(big, np.inf) and not gt(np.inf, np.inf)
+
+    def test_finite_comparisons_unchanged(self):
+        # the uncapped margin on finite values, huge ones included
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 308, 4000)
+        b = a + rng.standard_normal(4000) * np.abs(a) * 10.0 ** rng.integers(-16, 1, 4000)
+        a, b = np.append(a, [1e308, -1e308]), np.append(b, [-1e308, 1e308])  # a - b overflows
+        with np.errstate(over="ignore"):
+            margin = 1e-12 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+            assert np.array_equal(gt(a, b), a - b > margin)
+            assert np.array_equal(leq(a, b), a - b <= margin)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import count_row_passes
 from tgmat.errors import (
     BadAngle,
     BadIndex,
@@ -224,11 +225,7 @@ class TestClassicality:
 
     def test_statistics_built_once(self, monkeypatch):
         # the cascade reads the record certify_classicality built
-        import tgmat.tensor as tz
-
-        calls = []
-        s_matrix = tz.s_matrix
-        monkeypatch.setattr(tz, "s_matrix", lambda t: calls.append(1) or s_matrix(t))
+        calls = count_row_passes(monkeypatch)
         v = certify_classicality(spin_state(2, np.eye(3) / 3))
         assert v.certified and v.certificate.certified
         assert len(calls) == 1

@@ -118,6 +118,87 @@ class TestStats:
         assert np.allclose(G.r, G.s_diag + G.P, rtol=1e-12, atol=0.0)
 
 
+def reference_diagonal(t):
+    return np.array([t.entries[(i,) * t.order] for i in range(t.dim)])
+
+
+def reference_s_matrix(t):
+    m, n = t.order, t.dim
+    absA = np.abs(t.entries)
+    S = np.zeros((n, n))
+    trailing = m - 1
+    for i in range(n):
+        row = absA[i].copy()
+        row[(i,) * trailing] = 0.0
+        if trailing == 1:
+            S[i] = row
+            continue
+        acc = np.zeros(n)
+        for axis in range(trailing):
+            other = tuple(a for a in range(trailing) if a != axis)
+            acc += row.sum(axis=other)
+        S[i] = acc / trailing
+    return S
+
+
+def reference_row_sums(t):
+    m, n = t.order, t.dim
+    absA = np.abs(t.entries)
+    return np.array([absA[i].sum() - absA[(i,) * m] for i in range(n)])
+
+
+def reference_tensor_edges(t):
+    nonzero, trailing = t.entries != 0, range(1, t.order)
+    adj = np.any([nonzero.any(axis=tuple(a for a in trailing if a != k)) for k in trailing], axis=0)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+class TestRecordMatchesReference:
+    """The one row pass gives the bits of the separate per-row reductions it replaced."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(91)
+        for k in range(240):
+            m = 2 + k % 4
+            t = random_sparse_tensor(rng, order=m, dim=int(rng.integers(1, 6 if m < 5 else 5)))
+            arr = t.entries.copy()
+            if k % 3 == 0:
+                arr.flat[int(rng.integers(arr.size))] = 5e-324
+            yield DenseTensor(arr * (1.0, 2.0 ** -1060, 1e300, 1e-300, 2.0 ** -30)[k % 5])
+
+    @staticmethod
+    def assert_bits(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_arrays_bit_equal(self):
+        for t in self.draws():
+            G = generated_matrix(t)
+            self.assert_bits(G.diagonal, reference_diagonal(t))
+            self.assert_bits(G.S, reference_s_matrix(t))
+            self.assert_bits(G.r, reference_row_sums(t))
+            self.assert_bits(G.edges, reference_tensor_edges(t))
+            self.assert_bits(diagonal(t), G.diagonal)
+            assert s_matrix(t) is G.S and row_sums(t) is G.r
+
+    def test_memory_layout_does_not_matter(self):
+        for t in list(self.draws())[:40]:
+            G, F = generated_matrix(t), generated_matrix(DenseTensor(np.asfortranarray(t.entries)))
+            for name in ("diagonal", "S", "r", "edges"):
+                self.assert_bits(getattr(F, name), getattr(G, name))
+
+    def test_subnormal_entry_kept_in_edges(self):
+        # 5e-324 / 3 underflows to 0 in S but the edge 1 -> 2 stays
+        t = build_tensor(4, 2, {(1, 1, 1, 1): 1.0, (1, 1, 1, 2): 5e-324})
+        G = generated_matrix(t)
+        assert G.S[0, 1] == 0.0 and G.edges.tolist() == [[False, True], [False, False]]
+        self.assert_bits(G.edges, reference_tensor_edges(t))
+
+    def test_edges_read_only(self, t42):
+        assert not generated_matrix(t42).edges.flags.writeable
+
+
 class TestGeneratedMatrix:
     def test_demo_42(self, t42):
         G = generated_matrix(t42)
