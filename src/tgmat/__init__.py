@@ -16,7 +16,7 @@ from .dominance import (
     is_z_tensor,
     tensor_dd,
 )
-from .oracle import EigenPair, h_eigen_exact_2d, h_eigen_newton, nqz_spectral_radius
+from .oracle import EigenPair, h_eigen_exact_2d, h_eigen_newton
 from .regions import KINDS, RealBounds, Region, build_region, grid_sample, membership, real_bounds
 from .spin import (
     ClassicalityVerdict,
@@ -42,12 +42,10 @@ from .tensor import (
     load_tensor,
     poly_value,
     poly_values,
-    representation_matrix,
     row_sums,
     s_matrix,
     scale_tensor,
     tensor_from_json,
-    tensor_to_json,
     unit_tensor,
     zero_tensor,
 )

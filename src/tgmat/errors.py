@@ -37,10 +37,6 @@ class WrongDimension(TgmatError):
     """The operation requires a different tensor dimension."""
 
 
-class NegativeEntry(TgmatError):
-    """The operation requires a nonnegative tensor."""
-
-
 class BadGrid(TgmatError):
     """Grid specification is invalid."""
 

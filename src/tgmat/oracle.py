@@ -1,23 +1,21 @@
-"""Brute-force H-eigenpair oracles and the nonnegative spectral radius.
+"""Brute-force H-eigenpair oracles.
 
 These routines are deliberately independent of the dominance and region
 machinery so they can serve as ground truth in tests: an exact companion
-matrix solve for dimension 2, a multistart damped Newton iteration for
-small dimensions (no completeness guarantee), and a ratio-bounded power
-iteration for the spectral radius of a nonnegative tensor.
+matrix solve for dimension 2 and a multistart damped Newton iteration for
+small dimensions (no completeness guarantee).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as tz
-from .errors import NegativeEntry, WrongDimension
+from .errors import WrongDimension
 
-__all__ = ["EigenPair", "h_eigen_exact_2d", "h_eigen_newton", "nqz_spectral_radius"]
+__all__ = ["EigenPair", "h_eigen_exact_2d", "h_eigen_newton"]
 
 
 @dataclass(frozen=True)
@@ -281,34 +279,3 @@ def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list
             if pair:
                 pairs.append(pair)
     return _dedupe(pairs, 1e-6)
-
-
-def nqz_spectral_radius(t: tz.DenseTensor, tol: float = 1e-9, max_iter: int = 10000) -> float:
-    """Spectral radius of a nonnegative tensor by ratio-bounded power iteration.
-
-    The iteration runs on t + eps*I (eps = 1e-9) so the positive start vector
-    stays positive even for reducible inputs; the exact diagonal shift is
-    subtracted at the end.  Converged when the Collatz-Wielandt bounds
-    min_i/max_i of (contract x)_i / x_i^{m-1} agree to relative gap ``tol``;
-    the geometric mean of the final bounds is returned.
-    """
-    if np.any(t.entries < 0.0):
-        raise NegativeEntry("spectral radius iteration needs a nonnegative tensor")
-    eps = 1e-9
-    m, n = t.order, t.dim
-    arr = t.entries.copy()
-    arr.flat[tz._diagonal_positions(m, n)] += eps
-    reg = tz.DenseTensor(arr)
-    x = np.ones(n)
-    lo = hi = None
-    for _ in range(max_iter):
-        y = tz.contract(reg, x)
-        ratios = y / x ** (m - 1)
-        lo, hi = float(np.min(ratios)), float(np.max(ratios))
-        if hi - lo <= tol * max(1.0, hi):
-            break
-        x = y ** (1.0 / (m - 1))
-        x = x / np.max(x)
-    else:
-        warnings.warn("nqz_spectral_radius: ratio bounds did not converge", RuntimeWarning)
-    return max(float(np.sqrt(lo * hi)) - eps, 0.0)

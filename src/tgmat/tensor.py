@@ -49,15 +49,12 @@ __all__ = [
     "generated_matrix",
     "product_radius",
     "mixed_radius",
-    "representation_matrix",
     "classify_symmetry",
     "contract",
-    "contract_jacobian",
     "poly_value",
     "poly_values",
     "scale_tensor",
     "tensor_from_json",
-    "tensor_to_json",
     "load_tensor",
 ]
 
@@ -237,21 +234,6 @@ def mixed_radius(P, Q, gamma: float) -> np.ndarray:
     return gamma * P + (1.0 - gamma) * Q
 
 
-def representation_matrix(t: DenseTensor) -> np.ndarray:
-    """R(|A|)_{ij}: total absolute mass of row-i tuples whose index set contains j."""
-    n = t.dim
-    absA = np.abs(t.entries)
-    R = np.zeros((n, n))
-    # additive accumulation over nonzero tuples keeps exact zeros exact
-    for i in range(n):
-        row = absA[i]
-        for tup in np.argwhere(row != 0.0):
-            val = row[tuple(tup)]
-            for j in set(tup.tolist()):
-                R[i, j] += val
-    return R
-
-
 def _sym_tolerance(arr: np.ndarray) -> float:
     # exact comparison for integer-valued data, slack relative to the largest |a| otherwise
     if np.all(arr == np.round(arr)):
@@ -312,21 +294,6 @@ def contract(t: DenseTensor, x) -> np.ndarray:
     for _ in range(t.order - 1):
         v = v @ x
     return v
-
-
-def contract_jacobian(t: DenseTensor, x) -> np.ndarray:
-    """Jacobian of ``contract`` with respect to x, an n x n matrix."""
-    x = _check_vector(t, x)
-    m, n = t.order, t.dim
-    J = np.zeros((n, n))
-    for k in range(1, m):
-        v = t.entries
-        for axis in range(m - 1, 0, -1):
-            if axis == k:
-                continue
-            v = np.tensordot(v, x, axes=(axis, 0))
-        J += v
-    return J
 
 
 def poly_value(t: DenseTensor, x) -> float:
@@ -414,15 +381,6 @@ def tensor_from_json(obj: dict) -> DenseTensor:
             for perm in set(itertools.permutations(key)):
                 pairs.append((perm, val))
     return build_tensor(order, dim, pairs)
-
-
-def tensor_to_json(t: DenseTensor) -> dict:
-    entries = []
-    it = np.nditer(t.entries, flags=["multi_index"])
-    for val in it:
-        if val != 0:
-            entries.append({"idx": [k + 1 for k in it.multi_index], "val": float(val)})
-    return {"order": t.order, "dim": t.dim, "entries": entries}
 
 
 def load_tensor(path) -> DenseTensor:

@@ -97,6 +97,25 @@ def boosted_diagonal_tensor(rng, order=None, dim=None, margin_low=0.1, margin_hi
     return DenseTensor(arr)
 
 
+def near_boundary_z_tensor(rng):
+    """Random Z-tensor whose diagonal sits near the dominance boundary.
+
+    Off-diagonal entries are -|a| of a ``random_sparse_tensor``; with r_i the
+    deleted absolute row sum, a_i...i = r_i u_i + v_i for u_i ~ U(0.3, 1.3)
+    and v_i ~ U(0, 0.2).
+    """
+    t = random_sparse_tensor(rng)
+    m, n = t.order, t.dim
+    arr = -np.abs(t.entries)
+    diag = (np.arange(n),) * m
+    arr[diag] = 0.0
+    r = -arr.reshape(n, -1).sum(axis=1)
+    u = rng.uniform(0.3, 1.3, n)
+    v = rng.uniform(0.0, 0.2, n)
+    arr[diag] = r * u + v
+    return DenseTensor(arr)
+
+
 def count_row_passes(monkeypatch):
     """Record every call of the row pass that builds a tensor's statistics; returns the list of calls."""
     import tgmat.tensor as tz

@@ -1,13 +1,19 @@
 """Dominance checks, H-matrix decisions, and the certification cascade."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import boosted_diagonal_tensor, count_row_passes, random_sparse_tensor
+from conftest import (
+    boosted_diagonal_tensor,
+    brute_representation,
+    count_row_passes,
+    near_boundary_z_tensor,
+    random_sparse_tensor,
+)
 from tgmat import dominance as dom
-from tgmat import tensor as tz
 from tgmat.dominance import (
     certify_h_tensor,
     check_dominance,
@@ -21,14 +27,12 @@ from tgmat.dominance import (
     tensor_dd,
 )
 from tgmat.errors import GammaOutOfRange
-from tgmat.oracle import nqz_spectral_radius
 from tgmat.tensor import (
     DenseTensor,
     build_tensor,
     contract,
     diagonal,
     generated_matrix,
-    representation_matrix,
     unit_tensor,
     zero_tensor,
 )
@@ -157,15 +161,15 @@ class TestIrreducibility:
         rng = np.random.default_rng(27)
         for _ in range(60):
             t = random_sparse_tensor(rng, order=int(rng.integers(2, 6)))
-            want = representation_matrix(t) != 0
-            np.fill_diagonal(want, False)
+            want = np.array([[i != j and brute_representation(t, i, j) != 0 for j in range(t.dim)]
+                             for i in range(t.dim)])
             assert np.array_equal(generated_matrix(t).edges, want)
 
     def test_subnormal_entry_keeps_its_edge(self):
         # |a_112| / (m - 1) underflows to 0, so S has no edge 1 -> 2
         t = build_tensor(3, 2, {(1, 1, 1): 1.0, (1, 1, 2): 5e-324, (2, 2, 2): 1.0, (2, 1, 1): 1.0})
         assert generated_matrix(t).S[0, 1] == 0.0
-        assert representation_matrix(t)[0, 1] != 0.0
+        assert brute_representation(t, 0, 1) != 0.0
         assert generated_matrix(t).edges.tolist() == [[False, True], [True, False]]
         assert is_weakly_irreducible(t)
 
@@ -255,7 +259,6 @@ class TestCertifyHTensor:
         t = build_tensor(3, 3, {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (2, 3, 3): 1.0,
                                 (3, 3, 3): 1.0, (3, 2, 2): 1.0})
         passes = count_row_passes(monkeypatch)
-        monkeypatch.setattr(tz, "representation_matrix", lambda t: pytest.fail("edges re-read from the tensor"))
         cert = certify_h_tensor(t)
         assert not cert.certified and cert.note == "no sufficient condition fired"
         assert len(passes) == 1
@@ -364,8 +367,7 @@ class TestZAndMTensors:
         assert is_z_tensor(t42)
         ok, method = is_m_tensor(t42)
         assert ok and method in ("WCDD", "NQZ")
-        B = DenseTensor(7.0 * unit_tensor(4, 2).entries - t42.entries)
-        assert nqz_spectral_radius(B) < 7.0
+        assert dom._cw_bracket(7.0 * unit_tensor(4, 2).entries - t42.entries, 7.0)[0]
 
     def test_positive_offdiagonal_not_z(self):
         t = build_tensor(3, 2, {(1, 2, 2): 1.0})
@@ -383,3 +385,38 @@ class TestZAndMTensors:
         arr2 = t2.entries.copy()
         ok2, method2 = is_m_tensor(DenseTensor(arr2))
         assert ok2  # diagonal positive tensor: rho(sI - A) = 0 < s
+
+    def test_negative_eigenvalue_not_certified(self):
+        A = np.array([[2.216, 0.0, -1.918], [0.0, 0.137, 0.0], [-0.644, 0.0, 0.537]])
+        assert min(np.linalg.eigvals(A).real) < 0.0
+        assert is_m_tensor(DenseTensor(A)) == (False, None)
+
+    def test_reducible_certified_without_warning(self):
+        # rho(B) = 1.116 < 1.2; rows 1 and 4 of B are zero, so the iterate hits its floor there
+        B = np.zeros((4, 4))
+        B[1, 0], B[2, 0], B[2, 2], B[2, 3] = 2.307, 1.359, 1.116, 2.455
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_m_tensor(DenseTensor(1.2 * np.eye(4) - B)) == (True, "NQZ")
+
+    def test_tiny_diagonal_ends_without_warning(self):
+        # B = sI - A is zero, but s = 1e-13 is inside the absolute margin of compare.gt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_m_tensor(DenseTensor(1e-13 * np.eye(2))) == (False, None)
+
+    def test_near_boundary_certificates_hold(self):
+        rng = np.random.default_rng(2024)
+        nqz = 0
+        for _ in range(600):
+            t = near_boundary_z_tensor(rng)
+            ok, method = is_m_tensor(t)
+            if method == "NQZ":
+                nqz += 1
+                s = float(np.max(diagonal(t)))
+                B = s * unit_tensor(t.order, t.dim).entries - t.entries
+                proved, _, _, x = dom._cw_bracket(B, s)
+                assert proved and dom.gt(s * x ** (t.order - 1), contract(DenseTensor(B), x)).all()
+            if ok and t.order == 2:
+                assert np.all(np.linalg.eigvals(t.entries).real > 0.0)
+        assert nqz >= 10

@@ -1,18 +1,33 @@
-"""Eigenpair oracles and the nonnegative spectral radius iteration."""
+"""Eigenpair oracles, and the Collatz-Wielandt bracket of a nonnegative tensor's spectral radius."""
 
 import numpy as np
 import pytest
 
 from conftest import random_sparse_tensor
 from tgmat import oracle
-from tgmat.errors import NegativeEntry, WrongDimension
-from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton, nqz_spectral_radius
-from tgmat.tensor import DenseTensor, build_tensor, contract, contract_jacobian, unit_tensor
+from tgmat.dominance import _cw_bracket
+from tgmat.errors import WrongDimension
+from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton
+from tgmat.tensor import DenseTensor, build_tensor, contract, unit_tensor, zero_tensor
 
 
 def residual_ok(t, pair):
     res = contract(t, pair.vector) - pair.value * pair.vector ** (t.order - 1)
     return np.max(np.abs(res)) <= 1e-8 * max(1.0, abs(pair.value))
+
+
+def contract_jacobian(t, x):
+    """Jacobian of ``contract`` with respect to x, an n x n matrix."""
+    m, n = t.order, t.dim
+    J = np.zeros((n, n))
+    for k in range(1, m):
+        v = t.entries
+        for axis in range(m - 1, 0, -1):
+            if axis == k:
+                continue
+            v = np.tensordot(v, x, axes=(axis, 0))
+        J += v
+    return J
 
 
 def reference_solve(t, x0, lam0, max_iter=80, max_halvings=30):
@@ -245,27 +260,60 @@ class TestBatchedNewton:
         assert printed(h_eigen_newton(t, starts=20, seed=1)) == ["2.804889", "3.075190", "5.305298"]
 
 
+class TestReference:
+    def test_jacobian_matches_finite_differences(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            t = random_sparse_tensor(rng, order=3, dim=3)
+            x = rng.standard_normal(3)
+            J = contract_jacobian(t, x)
+            h = 1e-6
+            for j in range(3):
+                e = np.zeros(3)
+                e[j] = h
+                fd = (contract(t, x + e) - contract(t, x - e)) / (2 * h)
+                assert np.max(np.abs(J[:, j] - fd)) < 1e-5
+
+
 class TestNqz:
+    """``dominance._cw_bracket``: the bracket that decides is_m_tensor's NQZ route."""
+
     def test_unit_tensor(self):
-        assert nqz_spectral_radius(unit_tensor(4, 2)) == pytest.approx(1.0, abs=1e-8)
+        B = unit_tensor(4, 2).entries
+        proved, lo, hi, _ = _cw_bracket(B, 1.5)
+        assert proved and lo == hi == 1.0
+        proved, lo, _, _ = _cw_bracket(B, 1.0)
+        assert not proved and lo == 1.0
 
     def test_matrix_case_matches_dense_solver(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
             M = rng.uniform(0.05, 1.0, (4, 4))
-            rho = nqz_spectral_radius(DenseTensor(M))
             true = max(abs(v) for v in np.linalg.eigvals(M))
-            assert rho == pytest.approx(true, rel=1e-7)
+            assert _cw_bracket(M, true * (1 + 1e-6))[0]
+            proved, lo, _, _ = _cw_bracket(M, true * (1 - 1e-6))
+            assert not proved and lo >= true * (1 - 1e-6)
+
+    def test_brackets_the_exact_2d_eigenvalue(self):
+        rng = np.random.default_rng(35)
+        checked = 0
+        for _ in range(60):
+            B = np.abs(random_sparse_tensor(rng, order=int(rng.integers(2, 6)), dim=2).entries)
+            values = [p.value for p in h_eigen_exact_2d(DenseTensor(B))]
+            if not values:
+                continue
+            rho = max(values)
+            for s in (0.5 * rho, rho, 2.0 * rho):
+                _, lo, hi, x = _cw_bracket(B, s)
+                assert np.all(x > 0)
+                assert lo <= rho + 1e-9 * rho and rho <= hi + 1e-9 * rho
+            checked += 1
+        assert checked >= 50
 
     def test_demo_shift(self, t42):
-        B = DenseTensor(7.0 * unit_tensor(4, 2).entries - t42.entries)
-        assert nqz_spectral_radius(B) < 7.0
-
-    def test_rejects_negative(self, t42):
-        with pytest.raises(NegativeEntry):
-            nqz_spectral_radius(t42)
+        B = 7.0 * unit_tensor(4, 2).entries - t42.entries
+        assert _cw_bracket(B, 7.0)[0]
 
     def test_zero_tensor(self):
-        from tgmat.tensor import zero_tensor
-
-        assert nqz_spectral_radius(zero_tensor(3, 2)) == pytest.approx(0.0, abs=1e-8)
+        proved, lo, hi, _ = _cw_bracket(zero_tensor(3, 2).entries, 1.0)
+        assert proved and lo == hi == 0.0

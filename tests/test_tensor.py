@@ -6,7 +6,6 @@ import pytest
 from conftest import (
     ENTRIES_42,
     GEN_44,
-    brute_representation,
     brute_row_sum,
     brute_s_stat,
     random_sparse_tensor,
@@ -25,17 +24,14 @@ from tgmat.tensor import (
     build_tensor,
     classify_symmetry,
     contract,
-    contract_jacobian,
     diagonal,
     generated_matrix,
     poly_value,
     poly_values,
-    representation_matrix,
     row_sums,
     s_matrix,
     scale_tensor,
     tensor_from_json,
-    tensor_to_json,
     unit_tensor,
     zero_tensor,
 )
@@ -231,35 +227,6 @@ class TestGeneratedMatrix:
             arr[0] = 1.0
 
 
-class TestRepresentationMatrix:
-    def test_demo_entry(self, t42):
-        R = representation_matrix(t42)
-        assert R[0, 1] == 7.0  # three entries of size 2 plus one of size 1
-        assert R[0, 1] == brute_representation(t42, 0, 1)
-
-    def test_unit_tensor(self):
-        R = representation_matrix(unit_tensor(3, 4))
-        assert np.array_equal(R, np.eye(4))
-
-    def test_against_brute_force(self):
-        rng = np.random.default_rng(10)
-        for _ in range(25):
-            t = random_sparse_tensor(rng)
-            R = representation_matrix(t)
-            for i in range(t.dim):
-                for j in range(t.dim):
-                    assert R[i, j] == pytest.approx(brute_representation(t, i, j), abs=1e-12)
-
-    def test_offdiagonal_zero_pattern_matches_s(self):
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            t = random_sparse_tensor(rng)
-            R = representation_matrix(t)
-            S = s_matrix(t)
-            off = ~np.eye(t.dim, dtype=bool)
-            assert np.array_equal(R[off] == 0.0, S[off] == 0.0)
-
-
 class TestSymmetry:
     def test_unit_tensor_strongly_symmetric(self):
         assert classify_symmetry(unit_tensor(4, 3)) == "strongly_symmetric"
@@ -319,19 +286,6 @@ class TestContraction:
             rhs = a ** (t.order - 1) * contract(t, x)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
-    def test_jacobian_matches_finite_differences(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            t = random_sparse_tensor(rng, order=3, dim=3)
-            x = rng.standard_normal(3)
-            J = contract_jacobian(t, x)
-            h = 1e-6
-            for j in range(3):
-                e = np.zeros(3)
-                e[j] = h
-                fd = (contract(t, x + e) - contract(t, x - e)) / (2 * h)
-                assert np.max(np.abs(J[:, j] - fd)) < 1e-5
-
     def test_dimension_mismatch(self, t42):
         with pytest.raises(DimensionMismatch):
             contract(t42, np.ones(3))
@@ -381,10 +335,6 @@ class TestScaleTensor:
 
 
 class TestJson:
-    def test_round_trip(self, t42):
-        t2 = tensor_from_json(tensor_to_json(t42))
-        assert np.array_equal(t2.entries, t42.entries)
-
     def test_symmetrize(self):
         obj = {"order": 3, "dim": 2, "symmetrize": True,
                "entries": [{"idx": [1, 1, 2], "val": 5.0}]}
