@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -153,13 +154,15 @@ def cmd_region_grid(args) -> int:
     subset = tuple(args.subset) if args.subset is not None else None
     region = reg.build_region(t, args.kind, gamma=args.gamma, subset=subset)
     res, ims, member = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
-    cells = [(f",{i:.9g},0", f",{i:.9g},1") for i in ims.tolist()]
+    # the ",im,member" tail of every cell, flat: (im j, member b) sits at 2 j + b
+    cells = np.array([f",{i:.9g},{b}" for i in ims.tolist() for b in (0, 1)])
+    column = 2 * np.arange(ny)
 
     def rows():  # one grid row at a time: the text of the whole grid is never held
         yield "re,im,member"
         for r, row in zip(res.tolist(), member):
             text = f"{r:.9g}"
-            yield "\n".join([text + cell[m] for cell, m in zip(cells, row.tolist())])
+            yield text + ("\n" + text).join(cells[column + row].tolist())
 
     _emit(rows(), args.output)
     return EXIT_OK
@@ -198,7 +201,13 @@ class _UsageError(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser as it was: each call gets a fresh namespace,
+    and the repeatable options default to None, so no list carries over.
+    """
     parser = _Parser(prog="tgmat", description="Tensor-generated matrix toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -333,10 +333,11 @@ def is_m_tensor(t: tz.DenseTensor):
     B x^(m-1) strictly in every row, which puts rho(B) below s (Ding, Qi &
     Wei, Linear Algebra Appl. 2013).  False means not certified.
     """
-    if not is_z_tensor(t):
-        return False, None
     d = tz.diagonal(t)
-    if np.all(d >= 0.0) and is_weakly_chained_dd(t):
+    # an M-tensor has a_i...i = s - b_i...i >= rho(B) - b_i...i >= 0; this also keeps s - a_i...i from overflowing
+    if not is_z_tensor(t) or np.any(d < 0.0):
+        return False, None
+    if is_weakly_chained_dd(t):
         return True, "WCDD"
     s = float(np.max(d))
     if s <= 0.0:

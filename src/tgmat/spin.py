@@ -263,8 +263,8 @@ def state_from_json(obj: dict) -> SpinState:
     "theta": ..., "phi": ...}, ...]}.
     """
     try:
-        m = int(obj["m"])
-    except (KeyError, TypeError, ValueError, OverflowError):
+        m = tz._int_field(obj, "m")
+    except (KeyError, TypeError):
         raise TgmatError("state file needs an integer 'm'")
     if "components" in obj:
         comps = obj["components"]

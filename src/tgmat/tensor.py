@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +81,21 @@ class DenseTensor:
             raise TgmatError("tensor dimension must be at least 1")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("tensor entries must be finite")
+        self._own(arr)
+
+    def _own(self, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         self.order = arr.ndim
-        self.dim = n
+        self.dim = arr.shape[0]
         self.entries = arr
         self._record = None
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
+        """The tensor of a fresh cubical float array of finite entries, which it takes over without a copy."""
+        t = cls.__new__(cls)
+        t._own(arr)
+        return t
 
     def __repr__(self) -> str:
         return f"DenseTensor(order={self.order}, dim={self.dim})"
@@ -116,43 +128,149 @@ class GeneratedMatrix:
 
 # largest dense tensor built from a description, in entries (128 MiB of float64)
 MAX_ENTRIES = 2 ** 24
+# most axes a numpy array may have (numpy 1.x); above order 24 only dimension 1 stays inside MAX_ENTRIES
+MAX_ORDER = 32
 
 
 def _dense_zeros(order: int, dim: int) -> np.ndarray:
+    if order > MAX_ORDER:
+        raise TgmatError(f"tensor order {order} is more than the limit of {MAX_ORDER}")
     if dim ** order > MAX_ENTRIES:
         raise TgmatError(f"a dense tensor of order {order} and dimension {dim} has "
                          f"{dim ** order} entries, more than the limit of {MAX_ENTRIES}")
     return np.zeros((dim,) * order)
 
 
-def build_tensor(order: int, dim: int, entries) -> DenseTensor:
-    """Build a dense tensor from a sparse list of (index tuple, value) pairs.
+def _is_integer(kind: type) -> bool:
+    """Python and numpy integer types; JSON true/false arrive as bool, which Python counts as an int."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
 
-    ``entries`` may be a mapping or an iterable of pairs; index tuples are
-    1-based with exactly ``order`` components in 1..dim.  Unlisted tuples
-    are zero.  Duplicate tuples are rejected.
+
+def _int_field(obj, key: str) -> int:
+    """``obj[key]``, which must be an integer: a float or a boolean is not truncated to one."""
+    value = obj[key]
+    if not _is_integer(type(value)):
+        raise TypeError(f"{key!r} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def _raise_first(checks) -> None:
+    """Raise the error of the first row that fails a check; a row's checks are tried in the order given.
+
+    ``checks`` is a list of (bad-row mask, error factory taking the row number).
+    """
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise next(error(p) for mask, error in checks if mask[p])
+
+
+def _integer_row(row) -> bool:
+    return type(row) in (list, tuple) and all(map(_is_integer, map(type, row)))
+
+
+def _well_formed(rows, order: int) -> int:
+    """Length of the longest prefix of ``rows`` whose rows are lists or tuples of ``order`` integers."""
+    shaped = [type(r) in (list, tuple) and len(r) == order for r in rows]
+    p = shaped.index(False) if False in shaped else len(rows)
+    # the component types of the whole prefix at once; a row is looked for only when one is not an integer
+    if not all(map(_is_integer, set(map(type, itertools.chain.from_iterable(rows[:p]))))):
+        p = next(q for q in range(p) if not _integer_row(rows[q]))
+    return p
+
+
+def _index_array(rows, order: int) -> np.ndarray:
+    """Well-formed index rows as a (k, order) int64 array; a component beyond int64 reads as 0, out of range."""
+    flat = itertools.chain.from_iterable(rows)
+    try:
+        idx = np.fromiter(flat, np.int64, len(rows) * order)
+    except OverflowError:
+        idx = np.array([k if abs(k) < 2 ** 62 else 0 for r in rows for k in r], dtype=np.int64)
+    return idx.reshape(len(rows), order)
+
+
+def _float_array(xs) -> np.ndarray:
+    """Numbers as floats; an integer beyond the largest float becomes an infinity of its sign."""
+    try:
+        return np.array(xs, dtype=float)
+    except OverflowError:
+        return np.array([x if abs(x) <= sys.float_info.max else math.inf if x > 0 else -math.inf for x in xs], dtype=float)
+
+
+def _repeats(pos: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``pos`` equal to an earlier entry.
+
+    Found by a stable sort and a comparison of neighbours: numpy's unique
+    costs about 12 ms of imports on its first call in a process.
+    """
+    by_pos = np.argsort(pos, kind="stable")
+    repeated = np.zeros(len(pos), dtype=bool)
+    repeated[by_pos[1:]] = pos[by_pos[1:]] == pos[by_pos[:-1]]
+    return repeated
+
+
+def _label(rows, p: int) -> tuple:
+    """Row p of the index rows as a tuple of ints, to name it in an error."""
+    return tuple(map(int, rows[p]))
+
+
+def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, symmetric: bool = False) -> DenseTensor:
+    """The dense tensor holding ``vals`` at the 1-based index rows ``idx`` (``rows`` names them in errors).
+
+    Raises for the first row that lies outside 1..dim, repeats an earlier
+    row or holds a value that is not finite, tried in that order within a
+    row.  With ``symmetric`` each value is also written at every
+    permutation of its row.
     """
     if order < 2:
         raise TgmatError("order must be at least 2")
     if dim < 1:
         raise TgmatError("dim must be at least 1")
     arr = _dense_zeros(order, dim)
-    seen = set()
-    items = entries.items() if hasattr(entries, "items") else entries
-    for idx, val in items:
-        idx = tuple(int(k) for k in idx)
-        if len(idx) != order:
-            raise IndexOutOfRange(f"index tuple {idx} does not have {order} components")
-        if any(not 1 <= k <= dim for k in idx):
-            raise IndexOutOfRange(f"index tuple {idx} outside 1..{dim}")
-        if idx in seen:
-            raise DuplicateEntry(f"index tuple {idx} listed twice")
-        seen.add(idx)
-        val = float(val)
-        if not np.isfinite(val):
-            raise NonFiniteValue(f"entry {idx} is not finite")
-        arr[tuple(k - 1 for k in idx)] = val
-    return DenseTensor(arr)
+    strides = dim ** np.arange(order - 1, -1, -1)
+    inside = ((idx >= 1) & (idx <= dim)).all(axis=1)
+    # a row out of range gets a position of its own, so it repeats no other row
+    pos = np.where(inside, (idx - 1) @ strides, -1 - np.arange(len(idx)))
+    _raise_first([
+        (~inside, lambda p: IndexOutOfRange(f"index tuple {_label(rows, p)} outside 1..{dim}")),
+        (_repeats(pos), lambda p: DuplicateEntry(f"index tuple {_label(rows, p)} listed twice")),
+        (~np.isfinite(vals), lambda p: NonFiniteValue(f"entry {_label(rows, p)} is not finite")),
+    ])
+    arr.flat[pos] = vals
+    if symmetric:
+        # swapping neighbouring components reaches every distinct permutation of a row; a
+        # position met before is not followed again, so the work grows with the positions written
+        swaps = [np.r_[:a, a + 1, a, a + 2:order] for a in range(order - 1)]
+        seen = np.zeros(arr.size, dtype=bool)
+        seen[pos] = True
+        perms, perm_vals = idx - 1, vals
+        while len(perms):
+            perms = np.concatenate([perms[:, swap] for swap in swaps])
+            perm_vals = np.tile(perm_vals, order - 1)
+            at = perms @ strides
+            fresh = ~seen[at] & ~_repeats(at)  # one row per new position
+            perms, perm_vals, at = perms[fresh], perm_vals[fresh], at[fresh]
+            seen[at] = True
+            arr.flat[at] = perm_vals
+    return DenseTensor._wrap(arr)
+
+
+def build_tensor(order: int, dim: int, entries) -> DenseTensor:
+    """Build a dense tensor from a sparse list of (index tuple, value) pairs.
+
+    ``entries`` may be a mapping or an iterable of pairs; index tuples are
+    1-based with exactly ``order`` integer components in 1..dim.  Unlisted
+    tuples are zero.  Duplicate tuples are rejected.
+    """
+    pairs = list(entries.items() if hasattr(entries, "items") else entries)
+    rows = [idx for idx, _ in pairs]
+    p = _well_formed(rows, order)
+    t = _assemble(order, dim, rows, _index_array(rows[:p], order), _float_array([val for _, val in pairs[:p]]))
+    if p < len(rows):
+        if _integer_row(rows[p]):
+            raise IndexOutOfRange(f"index tuple {_label(rows, p)} does not have {order} components")
+        raise TgmatError(f"index tuple {rows[p]!r} is not a tuple of integers")
+    return t
 
 
 def _diagonal_positions(order: int, dim: int) -> np.ndarray:
@@ -328,59 +446,71 @@ def scale_tensor(t: DenseTensor, d) -> DenseTensor:
     return DenseTensor(out)
 
 
-def _parse_value(idx, raw):
-    """File-layer values: plain numbers, or [re, im] pairs reduced to moduli."""
-    # bool is an int in Python, so JSON true/false would pass as 1.0/0.0
-    if isinstance(raw, bool) or (isinstance(raw, (list, tuple)) and any(isinstance(v, bool) for v in raw)):
-        raise TgmatError(f"entry {idx}: value must be a number or an [re, im] pair, not a boolean")
-    if isinstance(raw, (int, float)):
-        return float(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2 and all(isinstance(v, (int, float)) for v in raw):
-        re, im = float(raw[0]), float(raw[1])
-        if im == 0.0:
-            return re
-        if len(set(idx)) == 1:
-            raise ComplexDiagonal(f"diagonal entry {idx} must be real")
-        return abs(complex(re, im))
-    raise TgmatError(f"entry {idx}: value must be a number or an [re, im] pair")
+def _has_boolean(raw) -> bool:
+    return type(raw) is bool or type(raw) in (list, tuple) and bool in map(type, raw)
+
+
+def _file_values(raw_vals, idx: np.ndarray):
+    """File-layer values: plain numbers, or [re, im] pairs reduced to moduli.
+
+    Returns the values and the masks of the entries whose value is not a
+    number or a pair of numbers, and of the diagonal entries with a nonzero
+    imaginary part.
+    """
+    parts = [v if type(v) in (list, tuple) and len(v) == 2 else (v, 0.0) for v in raw_vals]
+    number = np.array([type(a) in (int, float) and type(b) in (int, float) for a, b in parts], dtype=bool)
+    re = _float_array([a if ok else 0.0 for (a, _), ok in zip(parts, number)])
+    im = _float_array([b if ok else 0.0 for (_, b), ok in zip(parts, number)])
+    with np.errstate(over="ignore"):  # a modulus beyond the largest float is caught as not finite
+        vals = np.where(im == 0.0, re, np.hypot(re, im))
+    diagonal = (idx == idx[:, :1]).all(axis=1) & (idx.shape[1] > 0)
+    return vals, ~number, number & (im != 0.0) & diagonal
 
 
 def tensor_from_json(obj: dict) -> DenseTensor:
     """Parse the tensor JSON format.
 
     ``{"order": m, "dim": n, "entries": [{"idx": [...], "val": v}, ...]}``
-    with 1-based indices and omitted tuples equal to zero.  With
+    with 1-based integer indices and omitted tuples equal to zero.  With
     ``"symmetrize": true`` every listed entry is replicated over all
     permutations of its tuple; conflicting replicas are rejected.
     """
     try:
-        order = int(obj["order"])
-        dim = int(obj["dim"])
+        order, dim = _int_field(obj, "order"), _int_field(obj, "dim")
         raw_entries = list(obj["entries"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise TgmatError(f"tensor file needs integer 'order', 'dim' and an 'entries' list: {exc}")
-    pairs = []
-    for pos, item in enumerate(raw_entries):
-        try:
-            idx = tuple(int(k) for k in item["idx"])
-            raw_val = item["val"]
-        except (KeyError, TypeError, ValueError, OverflowError):
-            raise TgmatError(f"entry #{pos}: expected an object with 'idx' and 'val'")
-        if len(idx) != order:
-            raise IndexOutOfRange(f"entry #{pos}: idx {list(idx)} does not have {order} components")
-        pairs.append((idx, _parse_value(idx, raw_val)))
-    if obj.get("symmetrize"):
-        canon: dict[tuple, float] = {}
-        for idx, val in pairs:
-            key = tuple(sorted(idx))
-            if key in canon and canon[key] != val:
-                raise DuplicateEntry(f"conflicting symmetrized values for tuple class {key}")
-            canon[key] = val
-        pairs = []
-        for key, val in canon.items():
-            for perm in set(itertools.permutations(key)):
-                pairs.append((perm, val))
-    return build_tensor(order, dim, pairs)
+    pairs = [(e["idx"], e["val"]) if type(e) is dict and "idx" in e and "val" in e else (None, None)
+             for e in raw_entries]
+    rows = [idx for idx, _ in pairs]
+    p = _well_formed(rows, order)
+    idx = _index_array(rows[:p], order)
+    vals, not_number, complex_diagonal = _file_values([val for _, val in pairs[:p]], idx)
+    _raise_first([
+        (not_number, lambda q: TgmatError(f"entry {_label(rows, q)}: value must be a number or an [re, im] pair"
+                                          + (", not a boolean" if _has_boolean(pairs[q][1]) else ""))),
+        (complex_diagonal, lambda q: ComplexDiagonal(f"diagonal entry {_label(rows, q)} must be real")),
+    ])
+    if p < len(rows):
+        if _integer_row(rows[p]):
+            raise IndexOutOfRange(f"entry #{p}: idx {list(rows[p])} does not have {order} components")
+        raise TgmatError(f"entry #{p}: expected an object with 'idx', a list of integers, and 'val'")
+    if not obj.get("symmetrize"):
+        return _assemble(order, dim, rows, idx, vals)
+    # one row per class of tuples equal up to order: its first listing, holding its last value
+    keys = np.sort(idx, axis=1)
+    by_key = np.lexsort([np.arange(len(rows)), *keys.T[::-1]])  # a class's rows stay in list order
+    same = (keys[by_key[1:]] == keys[by_key[:-1]]).all(axis=1)
+    clash = np.zeros(len(rows), dtype=bool)
+    clash[by_key[1:]] = same & (vals[by_key[1:]] != vals[by_key[:-1]])
+    _raise_first([(clash, lambda q: DuplicateEntry(
+        f"conflicting symmetrized values for tuple class {tuple(sorted(_label(rows, q)))}"))])
+    first, last = np.ones(len(rows), dtype=bool), np.ones(len(rows), dtype=bool)
+    first[1:] = last[:-1] = ~same
+    firsts, lasts = by_key[first], by_key[last]
+    keep = np.argsort(firsts)
+    firsts, lasts = firsts[keep], lasts[keep]
+    return _assemble(order, dim, [rows[q] for q in firsts], idx[firsts], vals[lasts], symmetric=True)
 
 
 def load_tensor(path) -> DenseTensor:

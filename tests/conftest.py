@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from tgmat.tensor import DenseTensor, build_tensor
+from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFiniteValue, TgmatError
+from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor
 
 # order 4, dimension 2; generated matrix [[3, 3], [3, 4]]
 ENTRIES_42 = {
@@ -158,3 +159,54 @@ def brute_representation(t, i, j):
         if j in tup:
             total += abs(t.entries[(i,) + tup])
     return total
+
+
+def reference_build_tensor(order, dim, entries):
+    """Entry-by-entry builder: the loader's checks and writes done one pair at a time, in list order."""
+    if order < 2:
+        raise TgmatError("order must be at least 2")
+    if dim < 1:
+        raise TgmatError("dim must be at least 1")
+    arr = _dense_zeros(order, dim)
+    seen = set()
+    for idx, val in entries.items() if hasattr(entries, "items") else entries:
+        idx = tuple(int(k) for k in idx)
+        if len(idx) != order:
+            raise IndexOutOfRange(f"index tuple {idx} does not have {order} components")
+        if any(not 1 <= k <= dim for k in idx):
+            raise IndexOutOfRange(f"index tuple {idx} outside 1..{dim}")
+        if idx in seen:
+            raise DuplicateEntry(f"index tuple {idx} listed twice")
+        seen.add(idx)
+        val = float(val)
+        if not np.isfinite(val):
+            raise NonFiniteValue(f"entry {idx} is not finite")
+        arr[tuple(k - 1 for k in idx)] = val
+    return DenseTensor(arr)
+
+
+def reference_tensor_from_json(obj):
+    """Entry-by-entry parse of the tensor JSON format, for inputs whose integer fields are integers."""
+    order, dim = int(obj["order"]), int(obj["dim"])
+    pairs = []
+    for pos, item in enumerate(obj["entries"]):
+        idx, raw = tuple(int(k) for k in item["idx"]), item["val"]
+        if len(idx) != order:
+            raise IndexOutOfRange(f"entry #{pos}: idx {list(idx)} does not have {order} components")
+        if isinstance(raw, bool) or isinstance(raw, list) and any(isinstance(v, bool) for v in raw):
+            raise TgmatError(f"entry {idx}: value must be a number or an [re, im] pair, not a boolean")
+        if isinstance(raw, list):
+            re, im = float(raw[0]), float(raw[1])
+            if im != 0.0 and len(set(idx)) == 1:
+                raise ComplexDiagonal(f"diagonal entry {idx} must be real")
+            raw = re if im == 0.0 else abs(complex(re, im))
+        pairs.append((idx, float(raw)))
+    if obj.get("symmetrize"):
+        canon = {}
+        for idx, val in pairs:
+            key = tuple(sorted(idx))
+            if key in canon and canon[key] != val:
+                raise DuplicateEntry(f"conflicting symmetrized values for tuple class {key}")
+            canon[key] = val
+        pairs = [(perm, val) for key, val in canon.items() for perm in set(itertools.permutations(key))]
+    return reference_build_tensor(order, dim, pairs)

@@ -11,11 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tgmat.cli as cli
 import tgmat.tensor as tz
 from conftest import ENTRIES_42, ENTRIES_44, count_row_passes
 from tgmat.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def module_env():
+    """The environment for running ``python -m tgmat.cli`` on this checkout's source."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
 def write_tensor(path, order, dim, entries):
@@ -101,8 +107,20 @@ RHO_3 = [[0.5, 0, 0], [0, 0, 0], [0, 0, 0.5]]
     ("spin-certify", {"m": 1, "rho_re": [[0.5, 0], [0, 0.5]], "rho_im": [[0, 0], [0]]}),
     ("spin-certify", {"m": 1, "rho_re": [[0.5, 0], [0]]}),
     ("spin-certify", {"m": float("inf"), "rho_re": RHO_3}),
+    ("certify", {"order": 2, "dim": 2, "entries": [{"idx": "12", "val": 1.0}]}),
+    ("certify", {"order": 2, "dim": 2, "entries": [{"idx": [1.9, 2], "val": 1.0}]}),
+    ("certify", {"order": 2, "dim": 2, "entries": [{"idx": [True, 2], "val": 1.0}]}),
+    ("certify", {"order": 2, "dim": 2, "entries": [{"idx": {"1": 0, "2": 0}, "val": 1.0}]}),
+    ("certify", {"order": 2.7, "dim": 2, "entries": [DIAG_21]}),
+    ("certify", {"order": 2.0, "dim": 2, "entries": [DIAG_21]}),
+    ("certify", {"order": 2, "dim": True, "entries": [DIAG_21]}),
+    ("spin-certify", {"m": 2.5, "rho_re": RHO_3}),
+    ("certify", {"order": 2, "dim": 2, "entries": [DIAG_21, {"idx": [1, 2], "val": 10 ** 400}]}),
+    ("certify", {"order": 2, "dim": 2, "entries": [DIAG_21, {"idx": [1, 2], "val": [1.7e308, 1.7e308]}]}),
+    ("certify", {"order": 100, "dim": 1, "entries": []}),
 ], ids=["entries-number", "val-string", "val-nested", "val-null", "order-inf", "idx-inf",
-        "rho_im-string", "rho_im-ragged", "rho_re-ragged", "m-inf"])
+        "rho_im-string", "rho_im-ragged", "rho_re-ragged", "m-inf", "idx-string", "idx-float", "idx-bool",
+        "idx-object", "order-float", "order-integral-float", "dim-bool", "m-float", "val-huge-integer", "val-huge-modulus", "order-huge"])
 def test_malformed_json_is_data_error(capsys, tmp_path, command, obj):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj))  # writes inf as the JSON extension Infinity, which json.load reads
@@ -182,6 +200,16 @@ class TestBounds:
         _, out1, _ = run(capsys, "bounds", "--input", f44)
         _, out2, _ = run(capsys, "bounds", "--input", f44)
         assert out1 == out2
+
+    def test_kind_option_does_not_carry_over(self, capsys, f44):
+        # the shared parser must start every call from the defaults: a plain call after
+        # --kind cassini prints the full table, as a fresh process does
+        run(capsys, "bounds", "--input", f44, "--kind", "cassini", "--gamma", "0.3")
+        code, out, err = run(capsys, "bounds", "--input", f44)
+        proc = subprocess.run([sys.executable, "-m", "tgmat.cli", "bounds", "--input", f44],
+                              capture_output=True, text=True, env=module_env(), timeout=60)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        assert len(out.splitlines()) == 9
 
 
 class TestOracle:
@@ -331,6 +359,18 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 64
 
+    def test_parser_built_once(self, capsys, monkeypatch, f42, f44):
+        builds = []
+        add_subparsers = cli._Parser.add_subparsers
+        monkeypatch.setattr(cli._Parser, "add_subparsers", lambda self, **kw: builds.append(self) or add_subparsers(self, **kw))
+        cli._build_parser.cache_clear()
+        for _ in range(3):
+            for argv in (["gen-matrix", "--input", f42], ["certify", "--input", f44], ["frobnicate"],
+                         ["bounds", "--input", f44, "--kind", "cassini"], ["oracle", "--input", f42, "--starts", "-1"],
+                         ["region-grid", "--input", f42, "--grid=0:1:0:1:2:2"]):
+                run(capsys, *argv)
+        assert len(builds) == 1
+
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "certify")[0] == 64
 
@@ -346,9 +386,8 @@ class TestModuleEntryPoint:
     @pytest.mark.parametrize("entries", [ENTRIES_44, {}], ids=["certified", "not_certified"])
     def test_python_m_matches_main(self, capsys, tmp_path, entries):
         path = write_tensor(tmp_path / "t.json", 4, 4, entries)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "tgmat.cli", "certify", "--input", path],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=module_env(), timeout=60)
         code, out, _ = run(capsys, "certify", "--input", path)
         assert (proc.returncode, proc.stdout) == (code, out)
         assert code == (0 if entries else 2)

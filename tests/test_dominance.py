@@ -405,6 +405,13 @@ class TestZAndMTensors:
             warnings.simplefilter("error")
             assert is_m_tensor(DenseTensor(1e-13 * np.eye(2))) == (False, None)
 
+    def test_negative_diagonal_refused_before_the_shift(self):
+        # s - a_22 = 1e308 + 1e308 would overflow; a negative diagonal entry rules out an M-tensor first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_m_tensor(DenseTensor(np.diag([1e308, -1e308]))) == (False, None)
+            assert is_m_tensor(DenseTensor(np.array([[2.0, -1.0], [0.0, -0.5]]))) == (False, None)
+
     def test_near_boundary_certificates_hold(self):
         rng = np.random.default_rng(2024)
         nqz = 0
