@@ -42,8 +42,6 @@ from .tensor import (
     load_tensor,
     poly_value,
     poly_values,
-    row_sums,
-    s_matrix,
     scale_tensor,
     tensor_from_json,
     unit_tensor,

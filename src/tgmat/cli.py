@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 
 import numpy as np
@@ -49,12 +48,7 @@ def _fmt_vec(v) -> str:
 
 
 def _load_state(path) -> sp.SpinState:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TgmatError(f"{path}: invalid JSON ({exc})")
-    return sp.state_from_json(obj)
+    return sp.state_from_json(tz._read_json(path))
 
 
 def _emit(lines, output):

@@ -60,7 +60,6 @@ class DominanceReport:
 class HMatrixResult:
     is_h: bool
     scaling: Optional[np.ndarray]
-    jacobi_radius: Optional[float]
     note: str = ""
 
 
@@ -134,8 +133,9 @@ def _dominance(d, P, Q, kind: str, gamma: Optional[float] = None) -> DominanceRe
         return DominanceReport(None)
     if kind == "DoublySDD":
         pairs = np.triu_indices(n, 1)
-        if not gt(np.outer(d, d)[pairs], np.outer(P, P)[pairs]).all():
-            return DominanceReport(None)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite product against another fails
+            if not gt(np.outer(d, d)[pairs], np.outer(P, P)[pairs]).all():
+                return DominanceReport(None)
         return DominanceReport("DoublySDD", tuple(range(1, n + 1)))
     if kind in ("GammaSDD", "ProductGammaSDD"):
         if gamma is None:
@@ -167,34 +167,32 @@ def check_dominance(M: np.ndarray, kind: str, gamma: Optional[float] = None) -> 
 def is_h_matrix(M: np.ndarray) -> HMatrixResult:
     """Decide whether M is a nonsingular H-matrix and produce a scaling.
 
-    Uses the Jacobi-iteration criterion on the comparison matrix: with
-    D = diag(|m_ii|) and N the off-diagonal absolute part, M is an H-matrix
-    iff rho(D^{-1} N) < 1.  On success the returned x solves
-    comparison_matrix(M) x = ones; M diag(x) is then strictly diagonally
-    dominant, which is re-verified before the result is returned.
+    M is one iff its comparison matrix C is a nonsingular M-matrix, that is
+    iff C x > 0 for some x > 0 (Fiedler & Ptak, Czech. Math. J. 1962).  The
+    x solving C x = ones is such a vector whenever one exists; it must be
+    entrywise positive, and M diag(x) strictly diagonally dominant in every
+    row, which is re-verified before the result is returned.
     """
     M = np.asarray(M, dtype=float)
     d = np.abs(np.diag(M))
-    n = len(d)
     if np.any(d <= 0.0):
         bad = int(np.argmin(d)) + 1
-        return HMatrixResult(False, None, None, f"nonpositive diagonal in row {bad}")
-    N = np.abs(M).astype(float)
-    np.fill_diagonal(N, 0.0)
-    rho = float(np.max(np.abs(np.linalg.eigvals(N / d[:, None]))))
-    if rho >= 1.0 - 1e-10:
-        return HMatrixResult(False, None, rho, f"jacobi radius {rho:.6f} not below threshold")
+        return HMatrixResult(False, None, f"nonpositive diagonal in row {bad}")
     C = comparison_matrix(M)
     try:
-        x = np.linalg.solve(C, np.ones(n))
+        x = np.linalg.solve(C, np.ones(len(d)))
     except np.linalg.LinAlgError:
-        return HMatrixResult(False, None, rho, "comparison matrix is singular")
-    if np.any(x <= 0.0):
-        return HMatrixResult(False, None, rho, "solved scaling not entrywise positive")
-    failing = np.flatnonzero(~gt(d * x, (N * x[None, :]).sum(axis=1)))
+        return HMatrixResult(False, None, "comparison matrix is singular")
+    if not np.all(x > 0.0):
+        return HMatrixResult(False, None, "solved scaling not entrywise positive")
+    N = np.abs(M)
+    np.fill_diagonal(N, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row whose d_i x_i overflows fails
+        dx = d * x
+        failing = np.flatnonzero(~(np.isfinite(dx) & gt(dx, (N * x[None, :]).sum(axis=1))))
     if failing.size:
-        return HMatrixResult(False, None, rho, f"scaled dominance fails in row {failing[0] + 1}")
-    return HMatrixResult(True, x, rho)
+        return HMatrixResult(False, None, f"scaled dominance fails in row {failing[0] + 1}")
+    return HMatrixResult(True, x)
 
 
 def _reachable(adj: np.ndarray, start) -> np.ndarray:
@@ -243,13 +241,15 @@ def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndar
     """Certify with the tensor scaling y = x^(1/(m-1)) when its slack re-checks strictly.
 
     The slack of row i is 2 |a_{i...i}| y_i^(m-1) minus the row's absolute
-    contraction with y.
+    contraction with y, taken one row of |A| at a time so that no copy of the
+    whole tensor is made.
     """
     if x is None:
         return Certificate("certified_H", rule, gamma, None, None, note)
     y = np.power(x, 1.0 / (t.order - 1))
     scale = tz.generated_matrix(t).diag_abs * y ** (t.order - 1)
-    res = 2.0 * scale - tz.contract(tz.DenseTensor(np.abs(t.entries)), y)
+    absolute = [tz._contract(np.abs(row).reshape(1, -1), y[None], t.order - 1)[0, 0] for row in t.entries]
+    res = 2.0 * scale - np.array(absolute)
     if not np.all(res > EPS * np.maximum(1.0, scale)):
         return Certificate("certified_H", rule, gamma, None, None, note + " (scaling dropped: slack not strict)")
     return Certificate("certified_H", rule, gamma, y, res, note)
@@ -308,11 +308,12 @@ def _cw_bracket(B: np.ndarray, s: float):
     lo >= s, or after _CW_STEPS steps.  Returns (proved, lo, hi, x), where a
     proof holds at the returned x.
     """
-    t, m = tz.DenseTensor(B), B.ndim
-    x = np.ones(t.dim)
+    m, n = B.ndim, len(B)
+    E = B.reshape(n, -1)
+    x = np.ones(n)
     for _ in range(_CW_STEPS):
         xm = x ** (m - 1)
-        y = tz.contract(t, x)
+        y = tz._contract(E, x[None], m - 1)[0]
         ratios = y / xm
         lo, hi = float(ratios.min()), float(ratios.max())
         proved = bool(gt(s * xm, y).all())

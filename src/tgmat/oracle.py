@@ -127,20 +127,6 @@ _POLISH_STEPS = 8
 _CHUNK_ELEMENTS = 2 ** 18
 
 
-def _contract_rows(E: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
-    """Contract the q trailing length-n axes of E (shape (R, n^q)) with each row of X.
-
-    Returns shape (k, R).  The last axis goes first, as in ``tz.contract``.
-    """
-    k, n = X.shape
-    if q == 0:
-        return np.broadcast_to(E[:, 0], (k, E.shape[0]))
-    W = X @ E.reshape(-1, n).T
-    for _ in range(q - 1):
-        W = np.matmul(W.reshape(k, W.shape[1] // n, n), X[:, :, None])[:, :, 0]
-    return W
-
-
 def _operators(t: tz.DenseTensor):
     """The entries as (n, n^(m-1)), and the Jacobian's tensor as (n*n, n^(m-2)).
 
@@ -157,7 +143,7 @@ def _system(A: np.ndarray, m: int, X: np.ndarray, L: np.ndarray) -> np.ndarray:
     """F(x, lam) = (A x^{m-1} - lam x^[m-1], |x|^2 - 1), one row per start."""
     k, n = X.shape
     F = np.empty((k, n + 1))
-    F[:, :n] = _contract_rows(A, X, m - 1) - L[:, None] * X ** (m - 1)
+    F[:, :n] = tz._contract(A, X, m - 1) - L[:, None] * X ** (m - 1)
     F[:, n] = np.einsum("ij,ij->i", X, X) - 1.0
     return F
 
@@ -171,7 +157,7 @@ def _newton_steps(A, B, m, X, L, F):
     k, n = X.shape
     d = np.arange(n)
     J = np.zeros((k, n + 1, n + 1))
-    J[:, :n, :n] = _contract_rows(B, X, m - 2).reshape(k, n, n)
+    J[:, :n, :n] = tz._contract(B, X, m - 2).reshape(k, n, n)
     J[:, d, d] -= (L * (m - 1))[:, None] * X ** (m - 2)
     J[:, :n, n] = -(X ** (m - 1))
     J[:, n, :n] = 2.0 * X
@@ -271,7 +257,7 @@ def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list
         X = V[nv != 0.0] / nv[nv != 0.0, None]
         denom = np.sum(X ** m, axis=1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            L = np.einsum("ij,ij->i", X, _contract_rows(A, X, m - 1)) / denom
+            L = tz.poly_values(t, X) / denom
         L = np.where((np.abs(denom) > 1e-8) & np.isfinite(L), L, 0.0)
         X, L, ok = _newton(A, B, m, X, L)
         for x, lam in zip(*_polish(A, B, m, X[ok], L[ok])):

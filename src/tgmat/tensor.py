@@ -46,8 +46,6 @@ __all__ = [
     "unit_tensor",
     "zero_tensor",
     "diagonal",
-    "s_matrix",
-    "row_sums",
     "generated_matrix",
     "product_radius",
     "mixed_radius",
@@ -294,16 +292,6 @@ def diagonal(t: DenseTensor) -> np.ndarray:
     return t.entries.flat[_diagonal_positions(t.order, t.dim)]
 
 
-def s_matrix(t: DenseTensor) -> np.ndarray:
-    """All statistics s_ij at once, as an n x n nonnegative matrix (the record's ``S``)."""
-    return generated_matrix(t).S
-
-
-def row_sums(t: DenseTensor) -> np.ndarray:
-    """Deleted row sums r_i over all non-diagonal tuples starting at i (the record's ``r``)."""
-    return generated_matrix(t).r
-
-
 def _row_pass(t: DenseTensor):
     """Each |A[i]| taken once: the deleted row sums r, and (m - 1) s_ij before the division."""
     m, n = t.order, t.dim
@@ -312,25 +300,35 @@ def _row_pass(t: DenseTensor):
     r, mass = np.empty(n), np.zeros((n, n))
     for i, p in enumerate(_diagonal_positions(m - 1, n).tolist()):  # p: where (i, ..., i) sits in row i
         row = np.abs(t.entries[i], order="C")  # the same sums whatever the tensor's memory layout
-        r[i] = row.sum() - row.flat[p]
         row.flat[p] = 0.0  # the diagonal tuple is excluded everywhere
+        r[i] = row.sum()
         for other in others:
             mass[i] += row.sum(axis=other)
     return r, mass
 
 
 def generated_matrix(t: DenseTensor) -> GeneratedMatrix:
-    """The tensor-generated matrix and its statistics, built from one pass over the tensor on the first call."""
+    """The tensor-generated matrix and its statistics, built from one pass over the tensor on the first call.
+
+    Raises ``NonFiniteValue`` when r, S, P or Q has a sum beyond the float range.
+    """
     if t._record is None:
         signed = diagonal(t)
-        r, mass = _row_pass(t)
-        S = mass / (t.order - 1)
+        try:
+            # the entries are finite, so a statistic is infinite only where a sum overflows
+            with np.errstate(over="raise"):
+                r, mass = _row_pass(t)
+                S = mass / (t.order - 1)
+                off = S.copy()
+                np.fill_diagonal(off, 0.0)
+                P, Q = off.sum(axis=1), off.sum(axis=0)
+        except FloatingPointError:
+            raise NonFiniteValue("a row or column sum of the tensor's moduli is beyond the float range")
         edges = mass != 0.0  # a sum of moduli is 0 only when every term is
         np.fill_diagonal(edges, False)
         s_diag = np.diag(S).copy()
-        off = S - np.diag(s_diag)
         arrays = dict(data=off + np.diag(np.abs(signed) - s_diag), diagonal=signed, diag_abs=np.abs(signed),
-                      S=S, s_diag=s_diag, P=off.sum(axis=1), Q=off.sum(axis=0), r=r, edges=edges)
+                      S=S, s_diag=s_diag, P=P, Q=Q, r=r, edges=edges)
         for arr in arrays.values():
             arr.flags.writeable = False
         t._record = GeneratedMatrix(dim=t.dim, **arrays)
@@ -370,13 +368,18 @@ def classify_symmetry(t: DenseTensor) -> str:
     A = t.entries
     tol = _sym_tolerance(A)
 
-    flat = A.ravel()
-    idx = np.indices((n,) * m).reshape(m, -1)
-    masks = np.bitwise_or.reduce(1 << idx.astype(np.int64), axis=0)
-    order = np.argsort(masks, kind="stable")
-    sorted_masks = masks[order]
-    sorted_vals = flat[order]
-    boundaries = np.flatnonzero(np.diff(sorted_masks)) + 1
+    # a tuple's class key is the set of its indices as a bit string, index i at bit
+    # i % 64 of word i // 64, so no shift wraps; it is built one axis at a time
+    i = np.arange(n)
+    bits = np.zeros(((n + 63) // 64, n), dtype=np.uint64)
+    bits[i // 64, i] = np.left_shift(np.uint64(1), (i % 64).astype(np.uint64))
+    keys = bits
+    for _ in range(m - 1):
+        keys = (keys[:, :, None] | bits[:, None, :]).reshape(len(bits), -1)
+    order = np.lexsort(keys)
+    sorted_keys = keys[:, order]
+    sorted_vals = A.ravel()[order]
+    boundaries = np.flatnonzero((sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)) + 1
     strong = True
     for group in np.split(sorted_vals, boundaries):
         if group.max() - group.min() > tol:
@@ -405,13 +408,26 @@ def _check_vector(t: DenseTensor, x) -> np.ndarray:
     return x
 
 
+def _contract(E: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
+    """Contract the q trailing length-n axes of E (shape (R, n^q)) with each row of X (shape (k, n)).
+
+    Returns shape (k, R): row b is E x_b^q.  The last axis goes first.  An
+    order-m tensor's entries, reshaped to (n, n^(m-1)), give A x^(m-1) at
+    q = m - 1.
+    """
+    k, n = X.shape
+    if q == 0:
+        return np.broadcast_to(E[:, 0], (k, E.shape[0]))
+    W = X @ E.reshape(-1, n).T
+    for _ in range(q - 1):
+        W = np.matmul(W.reshape(k, W.shape[1] // n, n), X[:, :, None])[:, :, 0]
+    return W
+
+
 def contract(t: DenseTensor, x) -> np.ndarray:
     """The vector A x^{m-1} with components sum a_{i i2...im} x_{i2}...x_{im}."""
     x = _check_vector(t, x)
-    v = t.entries
-    for _ in range(t.order - 1):
-        v = v @ x
-    return v
+    return _contract(t.entries.reshape(t.dim, -1), x[None], t.order - 1)[0]
 
 
 def poly_value(t: DenseTensor, x) -> float:
@@ -425,11 +441,7 @@ def poly_values(t: DenseTensor, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != t.dim:
         raise DimensionMismatch(f"batch of length-{t.dim} vectors expected")
-    m, n = t.order, t.dim
-    v = np.broadcast_to(t.entries.reshape((1,) + (n,) * m), (X.shape[0],) + (n,) * m)
-    for _ in range(m):
-        v = np.einsum("bi...,bi->b...", v, X)
-    return v
+    return np.einsum("bi,bi->b", X, _contract(t.entries.reshape(t.dim, -1), X, t.order - 1))
 
 
 def scale_tensor(t: DenseTensor, d) -> DenseTensor:
@@ -513,10 +525,18 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     return _assemble(order, dim, [rows[q] for q in firsts], idx[firsts], vals[lasts], symmetric=True)
 
 
-def load_tensor(path) -> DenseTensor:
+def _read_json(path):
+    """The JSON document in the file at ``path``, read for tensor and state files alike.
+
+    Bytes that are not UTF-8, invalid JSON, nesting deeper than the parser's
+    recursion limit and integers beyond Python's digit limit are data errors.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
             raise TgmatError(f"{path}: invalid JSON ({exc})")
-    return tensor_from_json(obj)
+
+
+def load_tensor(path) -> DenseTensor:
+    return tensor_from_json(_read_json(path))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFiniteValue, TgmatError
-from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor
+from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor, generated_matrix
 
 # order 4, dimension 2; generated matrix [[3, 3], [3, 4]]
 ENTRIES_42 = {
@@ -85,12 +85,10 @@ def boosted_diagonal_tensor(rng, order=None, dim=None, margin_low=0.1, margin_hi
     n = int(dim if dim is not None else rng.integers(2, 6))
     t = random_sparse_tensor(rng, order=m, dim=n)
     arr = t.entries.copy()
-    from tgmat.tensor import s_matrix
-
     for i in range(n):
         arr[(i,) * m] = 0.0
     t0 = DenseTensor(arr.copy())
-    S = s_matrix(t0)
+    S = generated_matrix(t0).S
     for i in range(n):
         radius = S[i].sum()  # s_ii + P_i of the zero-diagonal tensor
         sign = -1.0 if rng.random() < 0.3 else 1.0

@@ -36,8 +36,6 @@ from tgmat.tensor import (
     diagonal,
     generated_matrix,
     poly_values,
-    row_sums,
-    s_matrix,
 )
 
 
@@ -166,10 +164,9 @@ def test_criterion_7_row_sum_identity():
     failures = 0
     for _ in range(220):
         t = random_sparse_tensor(rng)
-        S = s_matrix(t)
-        r = row_sums(t)
+        G = generated_matrix(t)
         for i in range(t.dim):
-            if abs(r[i] - S[i].sum()) > 1e-12 * max(1.0, r[i]):
+            if abs(G.r[i] - G.S[i].sum()) > 1e-12 * max(1.0, G.r[i]):
                 failures += 1
     check(7, "row sum identity r_i = s_ii + P_i (220 tensors)", failures == 0)
 

@@ -61,6 +61,13 @@ class TestGenMatrix:
         assert code == 0
         assert "7.333333,2.666667,3.000000,2.666667" in out
 
+    @pytest.mark.parametrize("command", ["gen-matrix", "certify"])
+    def test_row_sum_beyond_float_range_is_data_error(self, capsys, tmp_path, command):
+        p = write_tensor(tmp_path / "t.json", 3, 2, {(1, 1, 1): 1.0, (1, 1, 2): 1e308, (1, 2, 2): 1e308, (2, 2, 2): 1.0})
+        code, out, err = run(capsys, command, "--input", p)  # a RuntimeWarning fails the test
+        assert code == 65 and out == ""
+        assert err.startswith("tgmat: data error: ") and "float range" in err
+
     def test_malformed_entry_is_data_error(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"order": 3, "dim": 2,
@@ -129,6 +136,20 @@ def test_malformed_json_is_data_error(capsys, tmp_path, command, obj):
     assert err.count("\n") == 1 and err.startswith("tgmat: data error: ")
 
 
+@pytest.mark.parametrize("command", ["bounds", "spin-certify"])
+@pytest.mark.parametrize("content", [
+    b'{"order": 2, "dim": 1, "entries": [{"idx": [1, 1], "val": "\xff"}]}',
+    b"[" * 200_000 + b"]" * 200_000,
+    b'{"order": 2, "dim": 1, "entries": [{"idx": [1, 1], "val": ' + b"9" * 5001 + b"}]}",
+], ids=["not-utf8", "nested-200000", "integer-5001-digits"])
+def test_unreadable_json_is_data_error(capsys, tmp_path, command, content):
+    p = tmp_path / "bad.json"
+    p.write_bytes(content)
+    code, out, err = run(capsys, command, "--input", str(p))
+    assert code == 65 and out == ""
+    assert err.count("\n") == 1 and err.startswith(f"tgmat: data error: {p}: invalid JSON")
+
+
 class TestCertify:
     def test_demo_42_certified(self, capsys, f42):
         code, out, _ = run(capsys, "certify", "--input", f42)
@@ -148,6 +169,17 @@ class TestCertify:
         code, out, _ = run(capsys, "certify", "--input", p)
         assert code == 2
         assert "verdict,not_certified" in out
+
+    @pytest.mark.parametrize("dim,entries,verdict", [
+        (2, {(1, 1): 1e-310, (1, 2): 1.0, (2, 1): 1.0, (2, 2): 1e-310}, "not_certified"),
+        (2, {(1, 1): 1.0, (1, 2): 1e308, (2, 1): 1e308, (2, 2): 1e308}, "not_certified"),
+        (1, {(1, 1): 1e-313}, "certified_H"),  # the H-matrix solve gives x = inf
+    ], ids=["subnormal-diagonal", "products-overflow", "scaling-overflow"])
+    def test_extreme_matrix_without_warning(self, capsys, tmp_path, dim, entries, verdict):
+        p = write_tensor(tmp_path / "extreme.json", 2, dim, entries)
+        code, out, err = run(capsys, "certify", "--input", p)  # a RuntimeWarning fails the test
+        assert code == (0 if verdict == "certified_H" else 2) and err == ""
+        assert out.startswith(f"verdict,{verdict}\n")
 
 
 class TestBounds:

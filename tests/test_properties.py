@@ -1,5 +1,6 @@
 """Property tests: real bounds scale with the tensor, bounds and certificates ignore
-index labels, and the bounds hold every Newton eigenvalue."""
+index labels, the bounds hold every Newton eigenvalue, and the H-matrix decision
+agrees with the Jacobi radius."""
 
 import random as pyrandom
 
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ENTRIES_42, ENTRIES_44, boosted_diagonal_tensor, random_sparse_tensor
-from tgmat.dominance import certify_h_tensor
+from tgmat.compare import gt
+from tgmat.dominance import certify_h_tensor, is_h_matrix
 from tgmat.oracle import h_eigen_newton
 from tgmat.regions import KINDS, build_region, real_bounds
 from tgmat.tensor import DenseTensor, build_tensor, generated_matrix
@@ -110,3 +112,34 @@ def test_certificate_ignores_index_labels(t, random):
     random.shuffle(perm)
     got, want = certify_h_tensor(relabel(t, perm)), certify_h_tensor(t)
     assert (got.verdict, got.rule, got.gamma) == (want.verdict, want.rule, want.gamma)
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n matrix, n in 1..4: diagonal moduli in [0.25, 4] of either sign, off-diagonal
+    entries in [-4, 4] or zero, so reducible and near-singular comparison matrices both occur."""
+    n = draw(st.integers(1, 4))
+    off = st.one_of(st.just(0.0), st.floats(-4.0, 4.0))
+    M = np.array(draw(st.lists(off, min_size=n * n, max_size=n * n))).reshape(n, n)
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    np.fill_diagonal(M, signs * np.array(draw(st.lists(st.floats(0.25, 4.0), min_size=n, max_size=n))))
+    return M
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(square_matrices())
+@example(np.array([[3.0, 3.0], [3.0, 4.0]]))
+@example(np.array([[1.0, 1.0 - 1e-10], [1.0, 1.0]]))
+@example(np.array([[1.0, 1.0], [1.0, 1.0]]))
+def test_h_matrix_decision_matches_the_jacobi_radius(M):
+    d = np.abs(np.diag(M))
+    N = np.abs(M)
+    np.fill_diagonal(N, 0.0)
+    res = is_h_matrix(M)
+    # M is an H-matrix iff rho(D^-1 N) < 1; eigenvalue rounding is kept out by the band
+    rho = float(np.max(np.abs(np.linalg.eigvals(N / d[:, None]))))
+    if abs(rho - 1.0) > 1e-8:
+        assert res.is_h == (rho < 1.0), rho
+    if res.is_h:
+        x = res.scaling
+        assert np.all(x > 0.0) and gt(d * x, N @ x).all()

@@ -12,7 +12,7 @@ from tgmat.compare import gt, leq
 from tgmat.errors import BadGrid, BadSubset, GammaOutOfRange, WrongDimension
 from tgmat.oracle import h_eigen_exact_2d
 from tgmat.regions import KINDS, build_region, grid_sample, membership, real_bounds
-from tgmat.tensor import DenseTensor, diagonal, generated_matrix, row_sums, unit_tensor
+from tgmat.tensor import DenseTensor, diagonal, generated_matrix, unit_tensor
 
 
 def reference_membership(region, z):
@@ -103,7 +103,7 @@ class TestBuildRegion:
         G = generated_matrix(t44)
         assert np.max(np.abs(stats.Q - G.Q)) <= 1e-12
         assert np.max(np.abs(stats.Q - np.array([16 / 3, 17 / 3, 19 / 3, 5]))) <= 1e-12
-        assert np.max(np.abs(np.diag(stats.S) + stats.P - row_sums(t44))) <= 1e-12
+        assert np.max(np.abs(np.diag(stats.S) + stats.P - G.r)) <= 1e-12
 
     def test_demo_radii(self, t44):
         stats = build_region(t44, "gershgorin").stats
@@ -197,7 +197,7 @@ class TestRealBounds:
             reg = build_region(t, "gershgorin")
             rb = real_bounds(reg)
             c = diagonal(t)
-            r = row_sums(t)
+            r = generated_matrix(t).r
             assert rb.lower == pytest.approx(np.min(c - r), abs=1e-9)
             assert rb.upper == pytest.approx(np.max(c + r), abs=1e-9)
 

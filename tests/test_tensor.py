@@ -28,8 +28,6 @@ from tgmat.tensor import (
     generated_matrix,
     poly_value,
     poly_values,
-    row_sums,
-    s_matrix,
     scale_tensor,
     tensor_from_json,
     unit_tensor,
@@ -77,11 +75,11 @@ class TestStats:
 
     def test_unit_tensor_s_is_zero(self):
         t = unit_tensor(4, 3)
-        assert np.array_equal(s_matrix(t), np.zeros((3, 3)))
+        assert np.array_equal(generated_matrix(t).S, np.zeros((3, 3)))
 
     def test_matrix_case_s_is_absolute_offdiag(self):
         t = build_tensor(2, 3, {(1, 2): -5.0, (2, 3): 2.0, (1, 1): -7.0})
-        S = s_matrix(t)
+        S = generated_matrix(t).S
         assert S[0, 1] == 5.0 and S[1, 2] == 2.0
         assert np.all(np.diag(S) == 0.0)
 
@@ -89,7 +87,7 @@ class TestStats:
         rng = np.random.default_rng(7)
         for _ in range(40):
             t = random_sparse_tensor(rng)
-            S = s_matrix(t)
+            S = generated_matrix(t).S
             for i in range(t.dim):
                 for j in range(t.dim):
                     assert S[i, j] == pytest.approx(brute_s_stat(t, i, j), abs=1e-12)
@@ -101,11 +99,26 @@ class TestStats:
         rng = np.random.default_rng(8)
         for _ in range(40):
             t = random_sparse_tensor(rng)
-            S = s_matrix(t)
-            r = row_sums(t)
+            G = generated_matrix(t)
+            S, r = G.S, G.r
             for i in range(t.dim):
                 assert abs(r[i] - brute_row_sum(t, i)) <= 1e-12 * max(1.0, r[i])
                 assert abs(r[i] - S[i].sum()) <= 1e-12 * max(1.0, r[i])
+
+    def test_row_sum_does_not_cancel(self):
+        # r_1 = |a_112| + |a_122| = 2, which 1e16 + 2 - 1e16 rounds to 0
+        t = build_tensor(3, 2, {(1, 1, 1): 1e16, (1, 1, 2): 1.0, (1, 2, 2): 1.0, (2, 2, 2): 5.0})
+        G = generated_matrix(t)
+        assert G.r[0] == 2.0 == G.s_diag[0] + G.P[0]
+
+    @pytest.mark.parametrize("order,dim,entries", [
+        (3, 2, {(1, 1, 1): 1.0, (1, 1, 2): 1e308, (1, 2, 2): 1e308, (2, 2, 2): 1.0}),
+        (2, 3, {(2, 1): 1e308, (3, 1): 1e308}),
+    ], ids=["row-sum", "column-sum"])
+    def test_statistic_beyond_float_range_refused(self, order, dim, entries):
+        t = build_tensor(order, dim, entries)
+        with pytest.raises(NonFiniteValue, match="float range"):
+            generated_matrix(t)  # a RuntimeWarning fails the test
 
     def test_row_stats_record(self, t42):
         G = generated_matrix(t42)
@@ -138,9 +151,11 @@ def reference_s_matrix(t):
 
 
 def reference_row_sums(t):
+    """r_i by its definition: the sum of |a| over the tuples of row i, the diagonal tuple set to 0."""
     m, n = t.order, t.dim
-    absA = np.abs(t.entries)
-    return np.array([absA[i].sum() - absA[(i,) * m] for i in range(n)])
+    rows = np.abs(t.entries)
+    rows[(np.arange(n),) * m] = 0.0
+    return np.array([rows[i].sum() for i in range(n)])
 
 
 def reference_tensor_edges(t):
@@ -176,7 +191,6 @@ class TestRecordMatchesReference:
             self.assert_bits(G.r, reference_row_sums(t))
             self.assert_bits(G.edges, reference_tensor_edges(t))
             self.assert_bits(diagonal(t), G.diagonal)
-            assert s_matrix(t) is G.S and row_sums(t) is G.r
 
     def test_memory_layout_does_not_matter(self):
         for t in list(self.draws())[:40]:
@@ -250,6 +264,24 @@ class TestSymmetry:
         a = np.array([[0.1, 0.2], [0.2 + 1e-15, 0.3]])
         assert classify_symmetry(DenseTensor(a)) == "strongly_symmetric"
         assert classify_symmetry(DenseTensor(1e5 * a)) == "strongly_symmetric"
+
+    @pytest.mark.parametrize("order,dim", [(2, 65), (2, 70), (3, 65)])
+    def test_dimension_beyond_64(self, order, dim):
+        # the diagonal is constant on its own classes {i}; every other class is all zero
+        arr = np.zeros((dim,) * order)
+        arr[(np.arange(dim),) * order] = np.arange(1.0, dim + 1)
+        assert classify_symmetry(DenseTensor(arr)) == "strongly_symmetric"
+
+    def test_high_index_classes_kept_apart(self):
+        # class {1, 66} holds 2 and class {1, 2} holds 0; a 64-bit mask of the
+        # 0-based indices puts index 65 on bit 1 and gives both classes one key
+        arr = np.zeros((66, 66, 66))
+        arr[0, 0, 0] = 1.0
+        for tup in ((0, 0, 65), (0, 65, 0), (65, 0, 0), (0, 65, 65), (65, 0, 65), (65, 65, 0)):
+            arr[tup] = 2.0
+        assert classify_symmetry(DenseTensor(arr)) == "strongly_symmetric"
+        arr[65, 65, 0] = 4.0
+        assert classify_symmetry(DenseTensor(arr)) == "none"
 
     def test_random_symmetrised(self):
         rng = np.random.default_rng(12)
@@ -378,6 +410,6 @@ class TestJson:
 
 def test_zero_tensor_stats():
     t = zero_tensor(3, 3)
-    assert np.all(row_sums(t) == 0.0)
+    assert np.all(generated_matrix(t).r == 0.0)
     assert np.all(diagonal(t) == 0.0)
     assert np.array_equal(generated_matrix(t).data, np.zeros((3, 3)))
