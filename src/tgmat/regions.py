@@ -15,13 +15,14 @@ fixed-size chunk of points.
 
 Real-axis bounds are closed-form: a disc reaches a_i -+ (s_ii + radius_i),
 and a pair the roots of a quadratic.  Each end is rounded outward by a bound
-on its floating-point error, so the interval holds every real member.
+on its floating-point error, so the interval holds every real member.  One
+call evaluates the ends of any number of regions together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +35,9 @@ __all__ = ["Region", "RealBounds", "KINDS", "build_region", "membership", "real_
 KINDS = ("gershgorin", "cassini", "ostrowski", "gammamix", "stype", "ssingleton")
 
 _PAIR_KINDS = ("cassini", "stype", "ssingleton")
+
+_EPS = np.finfo(float).eps
+_MIRROR = np.array([[1.0], [-1.0]])
 
 # points x max(n, pairs) numbers in one chunk's temporaries
 _CHUNK_ELEMENTS = 2 ** 13
@@ -113,19 +117,27 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
     elif kind == "gammamix":
         radius = tz.mixed_radius(P, Q, gamma)
     elif kind == "cassini":
-        I, J = np.triu_indices(n, 1)
-        zero = np.zeros(len(I))
-        pairs = _PairTest(I, J, zero, zero, P[I] * P[J])
+        rows = np.arange(n)
+        I, J = np.nonzero(np.less.outer(rows, rows))
+        off_i = off_j = np.zeros(len(I))
+        x, y = P[I], P[J]
     elif kind == "stype":
-        sub0 = [i - 1 for i in sub]
-        comp0 = [j for j in range(n) if j + 1 not in sub]
-        rS = np.array([S[i, sub0].sum() - (S[i, i] if i in sub0 else 0.0) for i in range(n)])
+        member = np.zeros(n, dtype=bool)
+        member[[i - 1 for i in sub]] = True
+        # s_ij summed over j in S, j != i, with no s_ii to subtract again
+        rS = np.where(member & ~np.eye(n, dtype=bool), S, 0.0).sum(axis=1)
         rC = P - rS
-        I, J = np.repeat(sub0, len(comp0)), np.tile(comp0, len(sub0))
-        pairs = _PairTest(I, J, rS[I], rC[J], rC[I] * rS[J])
+        I, J = np.nonzero(np.logical_and.outer(member, ~member))
+        off_i, off_j, x, y = rS[I], rC[J], rC[I], rS[J]
     elif kind == "ssingleton":
         I, J = np.nonzero(~np.eye(n, dtype=bool))
-        pairs = _PairTest(I, J, np.zeros(len(I)), P[J] - S[J, I], P[I] * S[J, I])
+        s_ji = S[J, I]
+        off_i, off_j, x, y = np.zeros(len(I)), P[J] - s_ji, P[I], s_ji
+    if kind in _PAIR_KINDS:
+        # a product of statistics above the square root of the largest float
+        # overflows to inf, and an infinite rhs excludes no point
+        with np.errstate(over="ignore"):
+            pairs = _PairTest(I, J, off_i, off_j, x * y)
     return Region(kind, G, gamma, sub, radius, rS, pairs)
 
 
@@ -153,8 +165,10 @@ def _pair_test(region: Region, f: np.ndarray) -> np.ndarray:
     bi = f[:, I] - off_i
     bj = f[:, J] - off_j
     # far from the tensor's scale bi * bj may overflow; it counts only where both
-    # brackets are positive, and there +inf beats every finite rhs, as it should
-    with np.errstate(over="ignore"):
+    # brackets are positive, and there +inf beats every finite rhs, as it should.
+    # An infinite rhs, from statistics beyond sqrt of the largest float, excludes
+    # nothing: against it inf - inf is nan, and a nan margin test is False.
+    with np.errstate(over="ignore", invalid="ignore"):
         excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rhs)
     return ~excluded.all(axis=-1)
 
@@ -170,43 +184,75 @@ def _annulus_test(region: Region, f: np.ndarray) -> np.ndarray:
     return leq(np.abs(f[:, sub0]), region.rS[sub0]).any(axis=-1) | _pair_test(region, f)
 
 
-def real_bounds(region: Region) -> RealBounds:
+def real_bounds(regions: Region | Sequence[Region]) -> RealBounds | list[RealBounds]:
     """Smallest and largest real member, in closed form and rounded outward.
+
+    Takes one region and returns its ``RealBounds``, or a sequence of regions
+    (of one tensor or of several) and returns a list of them, computed in one
+    pass over every region's tests; one region is the one-element case.
 
     With u = a_i - (s_ii + off_i) and v = a_j - (s_jj + off_j), the brackets
     obey b_i >= u - x and b_j >= v - x, so a pair excludes every x left of
     the smaller root of (u - x)(v - x) = rhs; with offsets >= 0 the root is
-    a member.  A negative rhs excludes the same points as 0.  A disc
-    f_i <= radius_i is the pair (i, i) with both offsets the radius and rhs
-    0.  The S-annuli |f_i| <= rS_i of 'stype' reach no further than its
-    pairs: pair (i, j) has u = a_i - s_ii - rS_i, the annulus's own lower
-    end.  The upper end is the lower end of the region mirrored at 0, which
-    negates every center.
+    a member.  A negative rhs excludes the same points as 0, and an infinite
+    one excludes nothing.  A disc f_i <= radius_i is the pair (i, i) with
+    both offsets the radius and rhs 0.  The S-annuli |f_i| <= rS_i of 'stype'
+    reach no further than its pairs: pair (i, j) has u = a_i - s_ii - rS_i,
+    the annulus's own lower end.  The upper end is the lower end of the
+    region mirrored at 0, which negates every center.
     """
-    G, pairs = region.stats, region.pairs
-    if pairs is None:
-        rows = np.arange(G.dim)
-        pairs = _PairTest(rows, rows, region.radius, region.radius, np.zeros(G.dim))
-    I, J, off_i, off_j, rhs = pairs
-    a, s = np.stack([G.diagonal, -G.diagonal]), G.s_diag  # the region and its mirror image
-    u = a[:, I] - (s[I] + off_i)
-    v = a[:, J] - (s[J] + off_j)
-    h = np.hypot(u - v, 2.0 * np.sqrt(np.maximum(rhs, 0.0)))
-    # Error of the root, with eps = 2 * unit roundoff, the stored values exact
-    # and M = sum of |a| + s + |off| over both rows: u and v are off by eps M,
-    # u - v and u + v by 1.5 eps M, 2 sqrt(rhs) by eps / 2 of itself.  hypot is
-    # 1-Lipschitz per argument and within one ulp, so h is off by 1.5 eps
-    # (M + h); the difference adds eps / 2 (M + h) and the halving is exact,
-    # leaving 1.75 eps M + eps h.  The root is at most (M + h) / 2 in size, so
-    # subtracting err rounds by about eps / 4 (M + h).  3 eps (M + h) covers
-    # all of it, the second-order terms and the rounding of err itself.  In the
-    # subnormal range hypot, the halving and err add at most 2.5 * 2**-1074,
-    # covered by 2**-1072; that term is smaller only when M + h is, and then
-    # every step is exact.
-    size = np.abs(a[:, I]) + s[I] + np.abs(off_i) + np.abs(a[:, J]) + s[J] + np.abs(off_j) + h
-    err = 3.0 * np.finfo(float).eps * size + np.minimum(size, 2.0 ** -1072)
-    lower, mirrored = np.min(0.5 * ((u + v) - h) - err, axis=1)
-    return RealBounds(float(lower), -float(mirrored))
+    single = isinstance(regions, Region)
+    regions = [regions] if single else list(regions)
+    if not regions:
+        return []
+    # every region's tests as pairs, indexing the centres of its tensor's record;
+    # the records of all tensors in the call are laid end to end, each once
+    records, base_of, discs = [], {}, {}
+    tests, starts, count = [], [], 0
+    for region in regions:
+        G = region.stats
+        base = base_of.get(id(G))
+        if base is None:
+            base = base_of[id(G)] = sum(R.dim for R in records)
+            records.append(G)
+        if region.pairs is None:
+            if base not in discs:
+                discs[base] = np.arange(base, base + G.dim), np.zeros(G.dim)
+            rows, zero = discs[base]
+            tests.append((rows, rows, region.radius, region.radius, zero))
+        else:
+            I, J, off_i, off_j, rhs = region.pairs
+            tests.append((I + base, J + base, off_i, off_j, rhs) if base else region.pairs)
+        starts.append(count)
+        count += len(tests[-1][0])
+    I, J, off_i, off_j, rhs = (np.concatenate(column) for column in zip(*tests))
+    d = np.concatenate([G.diagonal for G in records])
+    s = np.concatenate([G.s_diag for G in records])
+    a = _MIRROR * d  # the regions and their mirror images, which negate every center
+    # beyond the float range a sum or a root overflows to inf, or to nan as
+    # inf - inf; either end then widens to the whole axis, which holds every member
+    with np.errstate(over="ignore", invalid="ignore"):
+        aI, aJ, sI, sJ = a[:, I], a[:, J], s[I], s[J]
+        u = aI - (sI + off_i)
+        v = aJ - (sJ + off_j)
+        h = np.hypot(u - v, 2.0 * np.sqrt(np.maximum(rhs, 0.0)))
+        # Error of the root, with eps = 2 * unit roundoff, the stored values exact
+        # and M = sum of |a| + s + |off| over both rows: u and v are off by eps M,
+        # u - v and u + v by 1.5 eps M, 2 sqrt(rhs) by eps / 2 of itself.  hypot is
+        # 1-Lipschitz per argument and within one ulp, so h is off by 1.5 eps
+        # (M + h); the difference adds eps / 2 (M + h) and the halving is exact,
+        # leaving 1.75 eps M + eps h.  The root is at most (M + h) / 2 in size, so
+        # subtracting err rounds by about eps / 4 (M + h).  3 eps (M + h) covers
+        # all of it, the second-order terms and the rounding of err itself.  In the
+        # subnormal range hypot, the halving and err add at most 2.5 * 2**-1074,
+        # covered by 2**-1072; that term is smaller only when M + h is, and then
+        # every step is exact.  M is the same for a region and its mirror image.
+        size = (np.abs(aI[0]) + sI + np.abs(off_i) + np.abs(aJ[0]) + sJ + np.abs(off_j)) + h
+        err = 3.0 * _EPS * size + np.minimum(size, 2.0 ** -1072)
+        ends = np.minimum.reduceat(0.5 * ((u + v) - h) - err, starts, axis=1)
+    ends = np.fmax(ends, -np.inf)  # a nan end becomes -inf
+    bounds = [RealBounds(lower, -mirrored) for lower, mirrored in zip(*ends.tolist())]
+    return bounds[0] if single else bounds
 
 
 def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):

@@ -1,4 +1,4 @@
-"""Shared fixtures: the two demo tensors and random tensor generators."""
+"""Shared fixtures: the two demo tensors, random tensor generators and reference implementations."""
 
 import itertools
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFiniteValue, TgmatError
+from tgmat.regions import RealBounds
 from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor, generated_matrix
 
 # order 4, dimension 2; generated matrix [[3, 3], [3, 4]]
@@ -25,6 +26,13 @@ ENTRIES_44 = {
     (2, 3, 4, 3): 1, (2, 1, 2, 3): 1,
     (3, 2, 2, 2): 1, (3, 1, 1, 1): 1, (3, 1, 2, 1): 1, (3, 4, 3, 4): 1, (3, 1, 2, 3): 1,
     (4, 2, 2, 2): 1, (4, 1, 1, 1): 1, (4, 1, 2, 1): 1, (4, 3, 3, 4): 1,
+}
+
+# order 3, dimension 3; in row 1, s_11 = 1e16 and s_13 = 1 have the float sum 1e16,
+# so the stype split sum of S = {1, 3} is 0 when s_11 is subtracted from that sum
+ENTRIES_STYPE_CANCEL = {
+    (1, 1, 1): 1e16, (1, 1, 2): 2e16, (1, 3, 3): 1, (2, 1, 1): 1, (3, 2, 2): 1,
+    (2, 2, 2): 3e16, (3, 3, 3): 5e16,
 }
 
 # the matrix the 4x4 tensor generates, row by row
@@ -208,3 +216,24 @@ def reference_tensor_from_json(obj):
             canon[key] = val
         pairs = [(perm, val) for key, val in canon.items() for perm in set(itertools.permutations(key))]
     return reference_build_tensor(order, dim, pairs)
+
+
+def reference_real_bounds(region):
+    """One region's real bounds, the closed form evaluated on that region alone.
+
+    The per-region body ``real_bounds`` had before it took lists: the same
+    elementwise steps, so the batched kernel must match it bit for bit.
+    """
+    G, pairs = region.stats, region.pairs
+    if pairs is None:
+        rows = np.arange(G.dim)
+        pairs = (rows, rows, region.radius, region.radius, np.zeros(G.dim))
+    I, J, off_i, off_j, rhs = pairs
+    a, s = np.stack([G.diagonal, -G.diagonal]), G.s_diag
+    u = a[:, I] - (s[I] + off_i)
+    v = a[:, J] - (s[J] + off_j)
+    h = np.hypot(u - v, 2.0 * np.sqrt(np.maximum(rhs, 0.0)))
+    size = np.abs(a[:, I]) + s[I] + np.abs(off_i) + np.abs(a[:, J]) + s[J] + np.abs(off_j) + h
+    err = 3.0 * np.finfo(float).eps * size + np.minimum(size, 2.0 ** -1072)
+    lower, mirrored = np.min(0.5 * ((u + v) - h) - err, axis=1)
+    return RealBounds(float(lower), -float(mirrored))

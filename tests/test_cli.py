@@ -13,8 +13,10 @@ import pytest
 
 import tgmat.cli as cli
 import tgmat.tensor as tz
-from conftest import ENTRIES_42, ENTRIES_44, count_row_passes
+from conftest import ENTRIES_42, ENTRIES_44, ENTRIES_STYPE_CANCEL, count_row_passes
 from tgmat.cli import main
+from tgmat.errors import TgmatError
+from tgmat.oracle import h_eigen_newton
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -242,6 +244,79 @@ class TestBounds:
                               capture_output=True, text=True, env=module_env(), timeout=60)
         assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
         assert len(out.splitlines()) == 9
+
+    def test_one_real_bounds_call_for_the_table(self, capsys, monkeypatch, f44):
+        calls = []
+        real_bounds = cli.reg.real_bounds
+        monkeypatch.setattr(cli.reg, "real_bounds", lambda regions: calls.append(regions) or real_bounds(regions))
+        code, out, _ = run(capsys, "bounds", "--input", f44, "--subset", "2,1", "--kind", "stype", "--kind", "cassini")
+        assert code == 0 and len(calls) == 1 and len(calls[0]) == 2
+        assert out.splitlines()[1].startswith("stype,,2+1,")
+
+    def test_stype_row_holds_the_newton_eigenvalues(self, capsys, tmp_path):
+        # the split sums of this tensor cancel when s_ii is subtracted from a row sum
+        p = write_tensor(tmp_path / "cancel.json", 3, 3, ENTRIES_STYPE_CANCEL)
+        code, out, _ = run(capsys, "bounds", "--input", p, "--kind", "stype", "--subset", "1,3")
+        assert code == 0
+        lo, hi = (float(v) for v in out.splitlines()[1].split(",")[3:])
+        values = [e.value for e in h_eigen_newton(tz.load_tensor(p), starts=200, seed=1)]
+        assert values and all(lo <= v <= hi for v in values)
+
+    def test_overflowing_pair_products(self, capsys, tmp_path):
+        # P_1 P_2 = 1e320 passes the largest float: those rows widen to the whole
+        # axis, with no warning (tier-1 turns a RuntimeWarning into an error)
+        p = write_tensor(tmp_path / "big.json", 2, 2, {(1, 1): 1.0, (1, 2): 1e160, (2, 1): 1e160, (2, 2): 1.0})
+        code, out, err = run(capsys, "bounds", "--input", p, "--subset", "1")
+        rows = out.splitlines()[1:]
+        assert code == 0 and err == "" and len(rows) == 8
+        for row in rows:
+            lo, hi = (float(v) for v in row.split(",")[3:])
+            assert lo <= 1.0 - 1e160 and hi >= 1.0 + 1e160, row
+        assert "cassini,,,-inf,inf" in rows and "ssingleton,,,-inf,inf" in rows
+        for kind in ("cassini", "ssingleton", "stype", "gershgorin"):
+            code, out, err = run(capsys, "region-grid", "--input", p, "--kind", kind, "--subset", "2",
+                                 "--grid=-2e160:2e160:-1e160:1e160:5:3")
+            assert code == 0 and err == "" and len(out.splitlines()) == 16
+
+
+class TestOutputFile:
+    """``--output`` rewrites a file in place and cuts it to the length written."""
+
+    def test_longer_file_holds_exactly_the_new_bytes(self, capsys, tmp_path, f44):
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"x" * 10_000)
+        _, want, _ = run(capsys, "bounds", "--input", f44)
+        code, out, _ = run(capsys, "bounds", "--input", f44, "--output", str(dest))
+        assert code == 0 and out == ""
+        assert dest.read_text() == want
+
+    def test_shorter_file_is_extended(self, capsys, tmp_path, f44):
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"x" * 10)
+        _, want, _ = run(capsys, "gen-matrix", "--input", f44)
+        assert run(capsys, "gen-matrix", "--input", f44, "--output", str(dest))[0] == 0
+        assert dest.read_text() == want
+
+    def test_device_is_not_truncated(self, capsys, f44):
+        code, out, err = run(capsys, "bounds", "--input", f44, "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    def test_missing_directory_is_data_error(self, capsys, tmp_path, f44):
+        code, out, err = run(capsys, "bounds", "--input", f44, "--output", str(tmp_path / "nowhere" / "out.csv"))
+        assert code == 65 and out == ""
+        assert err.count("\n") == 1 and err.startswith("tgmat: data error: ")
+
+    def test_failed_line_leaves_no_old_tail(self, tmp_path):
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"x" * 10_000)
+
+        def lines():
+            yield "first"
+            raise TgmatError("no second line")
+
+        with pytest.raises(TgmatError):
+            cli._emit(lines(), str(dest))
+        assert dest.read_text() == "first\n"
 
 
 class TestOracle:

@@ -1,6 +1,6 @@
-"""Property tests: real bounds scale with the tensor, bounds and certificates ignore
-index labels, the bounds hold every Newton eigenvalue, and the H-matrix decision
-agrees with the Jacobi radius."""
+"""Property tests: real bounds scale with the tensor, the batched bounds match the
+one-region reference, bounds and certificates ignore index labels, the bounds hold
+every Newton eigenvalue, and the H-matrix decision agrees with the Jacobi radius."""
 
 import random as pyrandom
 
@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ENTRIES_42, ENTRIES_44, boosted_diagonal_tensor, random_sparse_tensor
+from conftest import ENTRIES_42, ENTRIES_44, boosted_diagonal_tensor, random_sparse_tensor, reference_real_bounds
 from tgmat.compare import gt
 from tgmat.dominance import certify_h_tensor, is_h_matrix
 from tgmat.oracle import h_eigen_newton
@@ -61,6 +61,32 @@ def test_bounds_scale_with_the_tensor(case, c):
             assert got == (c * want[0], c * want[1]), spec
         else:
             assert abs(got[0] - c * want[0]) <= tol and abs(got[1] - c * want[1]) <= tol, spec
+
+
+@st.composite
+def mixed_region_lists(draw):
+    """One to ten regions of two random tensors (order 2..5, dimension 2..6, one
+    scale each, down to subnormal), of mixed kinds, gammas and proper subsets."""
+    tensors = []
+    for _ in range(2):
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        t = random_sparse_tensor(rng, order=draw(st.integers(2, 5)), dim=draw(st.integers(2, 6)))
+        tensors.append(DenseTensor(draw(st.sampled_from([1.0, 1e-8, 1e6, 2.0 ** -1060])) * t.entries))
+    regions = []
+    for _ in range(draw(st.integers(1, 10))):
+        t = draw(st.sampled_from(tensors))
+        kind = draw(st.sampled_from(KINDS))
+        gamma = draw(st.floats(0.0, 1.0)) if kind in ("ostrowski", "gammamix") else None
+        subset = draw(st.lists(st.integers(1, t.dim), min_size=1, max_size=t.dim - 1)) if kind == "stype" else None
+        regions.append(build_region(t, kind, gamma=gamma, subset=subset))
+    return regions
+
+
+@PROPERTY_SETTINGS
+@given(mixed_region_lists())
+def test_batched_bounds_match_the_reference(regions):
+    assert real_bounds(regions) == [reference_real_bounds(r) for r in regions]
+    assert [real_bounds([r])[0] for r in regions] == [real_bounds(r) for r in regions]
 
 
 @PROPERTY_SETTINGS

@@ -7,12 +7,12 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from conftest import random_sparse_tensor
+from conftest import ENTRIES_STYPE_CANCEL, random_sparse_tensor
 from tgmat.compare import gt, leq
 from tgmat.errors import BadGrid, BadSubset, GammaOutOfRange, WrongDimension
 from tgmat.oracle import h_eigen_exact_2d
-from tgmat.regions import KINDS, build_region, grid_sample, membership, real_bounds
-from tgmat.tensor import DenseTensor, diagonal, generated_matrix, unit_tensor
+from tgmat.regions import KINDS, RealBounds, build_region, grid_sample, membership, real_bounds
+from tgmat.tensor import DenseTensor, build_tensor, diagonal, generated_matrix, unit_tensor
 
 
 def reference_membership(region, z):
@@ -34,7 +34,7 @@ def reference_membership(region, z):
     if region.kind == "stype":
         sub0 = [i - 1 for i in region.subset]
         comp0 = [j for j in range(n) if j + 1 not in region.subset]
-        rS = np.array([S[i, sub0].sum() - (S[i, i] if i in sub0 else 0.0) for i in range(n)])
+        rS = np.array([sum(S[i, j] for j in sub0 if j != i) for i in range(n)])
         rC = P - rS
         for i in sub0:
             member |= leq(g[..., i], rS[i])
@@ -244,6 +244,60 @@ class TestRealBounds:
         rng = np.random.default_rng(47)
         for reg in every_region(t44, rng):
             real_bounds(reg)
+
+
+class TestBatchedRealBounds:
+    def test_list_of_every_kind_matches_single_calls(self, t42, t44):
+        rng = np.random.default_rng(49)
+        regions = [r for t in (t44, t42, t44) for r in every_region(t, rng)]
+        assert real_bounds(regions) == [real_bounds(r) for r in regions]
+
+    def test_empty_list(self):
+        assert real_bounds([]) == []
+
+    def test_single_region_gives_one_record(self, t44):
+        reg = build_region(t44, "cassini")
+        assert isinstance(real_bounds(reg), RealBounds)
+        assert real_bounds((reg,)) == [real_bounds(reg)]
+
+
+def test_stype_split_sums_do_not_cancel():
+    reg = build_region(build_tensor(3, 3, ENTRIES_STYPE_CANCEL), "stype", subset=(1, 3))
+    assert reg.rS.tolist() == [1.0, 1.0, 0.0]
+    # the loop definition: s_ij over j in S, j != i, added in index order, as
+    # numpy adds a row of fewer than eight terms
+    rng = np.random.default_rng(50)
+    for _ in range(40):
+        t = random_sparse_tensor(rng)
+        subset = tuple(int(i) + 1 for i in rng.choice(t.dim, size=int(rng.integers(1, t.dim)), replace=False))
+        S = generated_matrix(t).S
+        want = [sum(S[i, j - 1] for j in sorted(subset) if j - 1 != i) for i in range(t.dim)]
+        assert build_region(t, "stype", subset=subset).rS.tolist() == want
+
+
+class TestOverflowingStatistics:
+    """Statistics near 1e160, whose pair products pass the largest float."""
+
+    def test_pair_products_are_infinite_and_exclude_nothing(self):
+        t = DenseTensor(np.array([[1.0, 1e160], [1e160, 1.0]]))
+        z = np.array([0.0, 1e160, -3e160, 1e300j])
+        for kind, subset in (("cassini", None), ("stype", (1,)), ("ssingleton", None)):
+            reg = build_region(t, kind, subset=subset)
+            assert np.isinf(reg.pairs.rhs).all()
+            assert real_bounds(reg) == RealBounds(-math.inf, math.inf)
+            assert membership(reg, z).all()
+
+    def test_disc_ends_hold_the_eigenvalues(self):
+        t = DenseTensor(np.array([[1.0, 1e160], [1e160, 1.0]]))
+        for kind, gamma in (("gershgorin", None), ("ostrowski", 0.5), ("gammamix", 0.04)):
+            rb = real_bounds(build_region(t, kind, gamma=gamma))
+            assert rb.lower <= 1.0 - 1e160 and rb.upper >= 1.0 + 1e160
+
+    def test_overflowing_root_widens_to_the_axis(self):
+        # u + v overflows to inf, the root is inf - inf = nan, and a nan end reads as -inf
+        t = DenseTensor(np.array([[1e308, 1e160], [1e160, 1e308]]))
+        for kind in ("gershgorin", "cassini", "ssingleton"):
+            assert real_bounds(build_region(t, kind)) == RealBounds(-math.inf, math.inf)
 
 
 class TestRegionRelations:
