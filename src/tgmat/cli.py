@@ -281,10 +281,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"tgmat: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TgmatError as exc:
-        print(f"tgmat: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (TgmatError, OSError) as exc:
         print(f"tgmat: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

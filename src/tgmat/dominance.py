@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as tz
-from .compare import EPS, gt
+from .compare import gt
 from .errors import GammaOutOfRange
 
 __all__ = [
@@ -240,19 +240,19 @@ def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndar
                         note: str = "") -> Certificate:
     """Certify with the tensor scaling y = x^(1/(m-1)) when its slack re-checks strictly.
 
-    The slack of row i is 2 |a_{i...i}| y_i^(m-1) minus the row's absolute
-    contraction with y, taken one row of |A| at a time so that no copy of the
-    whole tensor is made.
+    The slack of row i is |a_{i...i}| y_i^(m-1) minus the row's off-diagonal
+    mass at y, the contraction of |A[i]| with its diagonal tuple set to 0,
+    taken one row at a time so that no copy of the whole tensor is made.
     """
     if x is None:
         return Certificate("certified_H", rule, gamma, None, None, note)
-    y = np.power(x, 1.0 / (t.order - 1))
-    scale = tz.generated_matrix(t).diag_abs * y ** (t.order - 1)
-    absolute = [tz._contract(np.abs(row).reshape(1, -1), y[None], t.order - 1)[0, 0] for row in t.entries]
-    res = 2.0 * scale - np.array(absolute)
-    if not np.all(res > EPS * np.maximum(1.0, scale)):
+    m = t.order
+    y = np.power(x, 1.0 / (m - 1))
+    scale = tz.generated_matrix(t).diag_abs * y ** (m - 1)
+    off = np.array([tz._contract(row.reshape(1, -1), y[None], m - 1)[0, 0] for row in tz._off_rows(t)])
+    if not (np.isfinite(scale) & gt(scale, off)).all():
         return Certificate("certified_H", rule, gamma, None, None, note + " (scaling dropped: slack not strict)")
-    return Certificate("certified_H", rule, gamma, y, res, note)
+    return Certificate("certified_H", rule, gamma, y, scale - off, note)
 
 
 def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
@@ -262,33 +262,35 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
     (searched), the generalized H-matrix test, irreducible DD with a strict
     row, and weakly chained diagonal dominance of the tensor itself.  The
     first rule that fires is reported; the constructive scaling always comes
-    from the H-matrix solve (or is all-ones for SDD).  The matrix rules read
-    d = |a_{i...i}| - s_ii, P and Q from the tensor's record.
+    from the H-matrix solve (or is all-ones for SDD).  SDD, irreducible DD
+    and weak chaining read one dominance report of the tensor, |a_{i...i}|
+    against r_i = s_ii + P_i, and one digraph, the record's ``edges``.  The
+    other matrix rules read d = |a_{i...i}| - s_ii, P and Q from the record;
+    they are skipped when some d_i is not positive.
     """
     G = tz.generated_matrix(t)
-    degenerate = [i + 1 for i in range(t.dim) if G.diag_abs[i] <= G.s_diag[i]]
-    if degenerate:
-        note = f"rows {degenerate} have |a_ii...i| <= s_ii; matrix rules skipped"
-        if is_weakly_chained_dd(t):
-            return _attach_certificate(t, "WeaklyChainedDD", None, is_h_matrix(G.data).scaling, note)
-        return Certificate("not_certified", note=note)
-    d = np.diag(G.data)
-    if _dominance(d, G.P, G.Q, "SDD").kind:
-        return _attach_certificate(t, "SDD", None, np.ones(t.dim))
-    # the H-matrix solve supplies the scaling for every later rule; None when it fails
-    x = is_h_matrix(G.data).scaling
-    for kind in ("DoublySDD", "GammaSDD", "ProductGammaSDD"):
-        rep = _dominance(d, G.P, G.Q, kind)
-        if rep.kind:
-            return _attach_certificate(t, kind, rep.gamma, x)
-    if x is not None:
-        return _attach_certificate(t, "GeneralizedH", None, x)
-    dd = _dominance(d, G.P, G.Q, "DD")
-    if dd.kind and dd.strict_rows and is_irreducible(G.data):
-        return _attach_certificate(t, "IrreducibleDD", None, None)
+    dd = tensor_dd(t)
+    degenerate = (np.flatnonzero(G.diag_abs <= G.s_diag) + 1).tolist()
+    note = f"rows {degenerate} have |a_ii...i| <= s_ii; matrix rules skipped" if degenerate else ""
+    if not degenerate:
+        if dd.kind == "SDD":
+            return _attach_certificate(t, "SDD", None, np.ones(t.dim))
+        # the H-matrix solve supplies the scaling for every later rule; None when it fails
+        x = is_h_matrix(G.data).scaling
+        d = np.diag(G.data)
+        for kind in ("DoublySDD", "GammaSDD", "ProductGammaSDD"):
+            rep = _dominance(d, G.P, G.Q, kind)
+            if rep.kind:
+                return _attach_certificate(t, kind, rep.gamma, x)
+        if x is not None:
+            return _attach_certificate(t, "GeneralizedH", None, x)
+        if dd.kind and dd.strict_rows and is_irreducible(G.edges):
+            return _attach_certificate(t, "IrreducibleDD", None, None)
+    # exact arithmetic makes a degenerate row that is dominant a zero row; rounding
+    # of s_ii at subnormal scale can still leave such a row weakly chained
     if is_weakly_chained_dd(t):
-        return _attach_certificate(t, "WeaklyChainedDD", None, None)
-    return Certificate("not_certified", note="no sufficient condition fired")
+        return _attach_certificate(t, "WeaklyChainedDD", None, None, note)
+    return Certificate("not_certified", note=note or "no sufficient condition fired")
 
 
 def is_z_tensor(t: tz.DenseTensor) -> bool:

@@ -68,15 +68,21 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     Substituting x = (1, s) eliminates the eigenvalue and leaves the single
     polynomial p(s) = (A(1,s)^{m-1})_2 - (A(1,s)^{m-1})_1 * s^{m-1}, whose
     real roots are taken from the companion matrix and polished by Newton;
-    the branch x = (0, 1) is handled separately.  Eigenvalues are
-    deduplicated within 1e-7.
+    the branch x = (0, 1) is handled separately.  The polynomial is built
+    from the entries scaled by the power of two 2^-e that brings the largest
+    |a| into [1/2, 1), which leaves its roots and every Newton ratio as they
+    are and keeps its coefficients in range; each eigenvalue is scaled back
+    by 2^e.  Eigenvalues are deduplicated within 1e-7.
     """
     if t.dim != 2:
         raise WrongDimension("exact oracle is limited to dimension 2")
     m = t.order
-    scale = max(1.0, float(np.max(np.abs(t.entries))))
-    c1 = _branch_coeffs(t, 0)
-    c2 = _branch_coeffs(t, 1)
+    e = int(np.frexp(np.max(np.abs(t.entries)))[1])
+    ts = tz.DenseTensor._wrap(np.ldexp(t.entries, -e))
+    # max(1, max |a|) in the scaled units
+    scale = max(2.0 ** -e, float(np.max(np.abs(ts.entries))))
+    c1 = _branch_coeffs(ts, 0)
+    c2 = _branch_coeffs(ts, 1)
     # p = c2(s) - s^{m-1} c1(s), ascending coefficients
     p = np.zeros(2 * m - 1)
     p[: m] += c2
@@ -85,7 +91,7 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     if np.max(np.abs(p)) <= 1e-14 * scale:
         # degenerate pencil: every direction solves; sample s in {0, 1, -1}
         for s in (0.0, 1.0, -1.0):
-            lam = float(np.polyval(c1[::-1], s))
+            lam = float(np.ldexp(np.polyval(c1[::-1], s), e))
             pair = _finish_pair(t, lam, np.array([1.0, s]))
             if pair:
                 pairs.append(pair)
@@ -101,15 +107,15 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
                 if deriv == 0.0:
                     break
                 s -= np.polyval(p[::-1], s) / deriv
-            lam = float(np.polyval(c1[::-1], s))
+            lam = float(np.ldexp(np.polyval(c1[::-1], s), e))
             pair = _finish_pair(t, lam, np.array([1.0, s]))
             if pair:
                 pairs.append(pair)
     # the x = (0, 1) branch is an eigenpair iff the first component vanishes
     e2 = np.array([0.0, 1.0])
-    w = tz.contract(t, e2)
+    w = tz.contract(ts, e2)
     if abs(w[0]) <= 1e-12 * scale:
-        pair = _finish_pair(t, float(w[1]), e2)
+        pair = _finish_pair(t, float(np.ldexp(w[1], e)), e2)
         if pair:
             pairs.append(pair)
     return _dedupe(pairs, 1e-7)

@@ -205,34 +205,22 @@ def real_bounds(regions: Region | Sequence[Region]) -> RealBounds | list[RealBou
     regions = [regions] if single else list(regions)
     if not regions:
         return []
-    # every region's tests as pairs, indexing the centres of its tensor's record;
-    # the records of all tensors in the call are laid end to end, each once
-    records, base_of, discs = [], {}, {}
-    tests, starts, count = [], [], 0
+    # every region's tests as pairs, with the centres and s_ii of its own record gathered
+    tests = []
     for region in regions:
         G = region.stats
-        base = base_of.get(id(G))
-        if base is None:
-            base = base_of[id(G)] = sum(R.dim for R in records)
-            records.append(G)
         if region.pairs is None:
-            if base not in discs:
-                discs[base] = np.arange(base, base + G.dim), np.zeros(G.dim)
-            rows, zero = discs[base]
-            tests.append((rows, rows, region.radius, region.radius, zero))
+            rows = np.arange(G.dim)
+            I, J, off_i, off_j, rhs = rows, rows, region.radius, region.radius, np.zeros(G.dim)
         else:
             I, J, off_i, off_j, rhs = region.pairs
-            tests.append((I + base, J + base, off_i, off_j, rhs) if base else region.pairs)
-        starts.append(count)
-        count += len(tests[-1][0])
-    I, J, off_i, off_j, rhs = (np.concatenate(column) for column in zip(*tests))
-    d = np.concatenate([G.diagonal for G in records])
-    s = np.concatenate([G.s_diag for G in records])
-    a = _MIRROR * d  # the regions and their mirror images, which negate every center
+        tests.append((G.diagonal[I], G.diagonal[J], G.s_diag[I], G.s_diag[J], off_i, off_j, rhs))
+    starts = np.cumsum([0] + [len(test[-1]) for test in tests[:-1]])
+    dI, dJ, sI, sJ, off_i, off_j, rhs = (np.concatenate(column) for column in zip(*tests))
+    aI, aJ = _MIRROR * dI, _MIRROR * dJ  # the regions and their mirror images, which negate every center
     # beyond the float range a sum or a root overflows to inf, or to nan as
     # inf - inf; either end then widens to the whole axis, which holds every member
     with np.errstate(over="ignore", invalid="ignore"):
-        aI, aJ, sI, sJ = a[:, I], a[:, J], s[I], s[J]
         u = aI - (sI + off_i)
         v = aJ - (sJ + off_j)
         h = np.hypot(u - v, 2.0 * np.sqrt(np.maximum(rhs, 0.0)))

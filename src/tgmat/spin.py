@@ -137,11 +137,8 @@ def coefficient_tensor(state: SpinState) -> tz.DenseTensor:
     A = np.ascontiguousarray(A.real)
     if abs(A[(0,) * m] - 1.0) > 1e-10:
         raise TgmatError("coefficient tensor trace entry differs from 1")
-    for axis in range(m - 1):
-        perm = list(range(m))
-        perm[axis], perm[axis + 1] = perm[axis + 1], perm[axis]
-        if np.max(np.abs(A - np.transpose(A, perm))) > 1e-10:
-            raise TgmatError("coefficient tensor is not permutation symmetric")
+    if not tz._symmetric(A, 1e-10):
+        raise TgmatError("coefficient tensor is not permutation symmetric")
     return tz.DenseTensor(A)
 
 

@@ -292,15 +292,21 @@ def diagonal(t: DenseTensor) -> np.ndarray:
     return t.entries.flat[_diagonal_positions(t.order, t.dim)]
 
 
+def _off_rows(t: DenseTensor):
+    """Each |A[i]| in turn, a fresh C-order copy with its diagonal tuple (i, ..., i) set to 0."""
+    for i, p in enumerate(_diagonal_positions(t.order - 1, t.dim).tolist()):  # p: where (i, ..., i) sits in row i
+        row = np.abs(t.entries[i], order="C")  # the same sums whatever the tensor's memory layout
+        row.flat[p] = 0.0
+        yield row
+
+
 def _row_pass(t: DenseTensor):
     """Each |A[i]| taken once: the deleted row sums r, and (m - 1) s_ij before the division."""
     m, n = t.order, t.dim
     # trailing axis k holds j: sum over all the others
     others = [tuple(a for a in range(m - 1) if a != k) for k in range(m - 1)]
     r, mass = np.empty(n), np.zeros((n, n))
-    for i, p in enumerate(_diagonal_positions(m - 1, n).tolist()):  # p: where (i, ..., i) sits in row i
-        row = np.abs(t.entries[i], order="C")  # the same sums whatever the tensor's memory layout
-        row.flat[p] = 0.0  # the diagonal tuple is excluded everywhere
+    for i, row in enumerate(_off_rows(t)):
         r[i] = row.sum()
         for other in others:
             mass[i] += row.sum(axis=other)
@@ -357,6 +363,18 @@ def _sym_tolerance(arr: np.ndarray) -> float:
     return 1e-12 * float(np.max(np.abs(arr)))
 
 
+def _symmetric(A: np.ndarray, tol: float) -> bool:
+    """Whether A changes by at most tol under every permutation of its axes; exact equality at tol 0.
+
+    Transpositions of neighbouring axes generate the whole group.
+    """
+    for axis in range(A.ndim - 1):
+        B = np.swapaxes(A, axis, axis + 1)
+        if (not np.array_equal(A, B)) if tol == 0.0 else np.max(np.abs(A - B)) > tol:
+            return False
+    return True
+
+
 def classify_symmetry(t: DenseTensor) -> str:
     """Classify the tensor as 'none', 'symmetric' or 'strongly_symmetric'.
 
@@ -379,26 +397,11 @@ def classify_symmetry(t: DenseTensor) -> str:
     order = np.lexsort(keys)
     sorted_keys = keys[:, order]
     sorted_vals = A.ravel()[order]
-    boundaries = np.flatnonzero((sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)) + 1
-    strong = True
-    for group in np.split(sorted_vals, boundaries):
-        if group.max() - group.min() > tol:
-            strong = False
-            break
-    if strong:
+    starts = np.flatnonzero(np.r_[True, (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)])
+    spread = np.maximum.reduceat(sorted_vals, starts) - np.minimum.reduceat(sorted_vals, starts)
+    if not (spread > tol).any():
         return "strongly_symmetric"
-
-    # invariance under adjacent transpositions generates the full group
-    for axis in range(m - 1):
-        perm = list(range(m))
-        perm[axis], perm[axis + 1] = perm[axis + 1], perm[axis]
-        B = np.transpose(A, perm)
-        if tol == 0.0:
-            if not np.array_equal(A, B):
-                return "none"
-        elif np.max(np.abs(A - B)) > tol:
-            return "none"
-    return "symmetric"
+    return "symmetric" if _symmetric(A, tol) else "none"
 
 
 def _check_vector(t: DenseTensor, x) -> np.ndarray:

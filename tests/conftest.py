@@ -35,6 +35,24 @@ ENTRIES_STYPE_CANCEL = {
     (2, 2, 2): 3e16, (3, 3, 3): 5e16,
 }
 
+# order 2, dimension 2; SDD with diagonal moduli near the largest float, so twice
+# |a_ii| y_i^(m-1) overflows where |a_ii| y_i^(m-1) less the off-diagonal mass does not
+ENTRIES_HUGE_DIAGONAL = {(1, 1): 1e308, (1, 2): 1e160, (2, 1): 1e160, (2, 2): 1e308}
+
+# order 8, dimension 2; |a_1...1| = r_1 = 5e-324 and s_11 rounds up to r_1, so row 1 is
+# degenerate, dominant with equality and has an edge to the strict row 2 (s_12 underflows)
+ENTRIES_SUBNORMAL_CHAIN = {(1,) * 8: 5e-324, (1,) * 7 + (2,): 5e-324, (2,) * 8: 1.0}
+
+
+def near_singular_cycle(delta):
+    """The 3 x 3 matrix [[1, -(1 - delta), 0], [0, 1, -1], [-1, 0, 1]] as an order-2 entry dict.
+
+    It is dominant, irreducible and strict only in row 1, by delta: at delta = 2e-12
+    the H-matrix solve's scaling fails the strict re-check, at 3e-12 it passes.
+    """
+    return {(1, 1): 1.0, (1, 2): -(1.0 - delta), (2, 2): 1.0, (2, 3): -1.0, (3, 1): -1.0, (3, 3): 1.0}
+
+
 # the matrix the 4x4 tensor generates, row by row
 GEN_44 = np.array([
     [10 - 8 / 3, 8 / 3, 3, 8 / 3],

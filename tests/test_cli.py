@@ -13,7 +13,15 @@ import pytest
 
 import tgmat.cli as cli
 import tgmat.tensor as tz
-from conftest import ENTRIES_42, ENTRIES_44, ENTRIES_STYPE_CANCEL, count_row_passes
+from conftest import (
+    ENTRIES_42,
+    ENTRIES_44,
+    ENTRIES_HUGE_DIAGONAL,
+    ENTRIES_STYPE_CANCEL,
+    ENTRIES_SUBNORMAL_CHAIN,
+    count_row_passes,
+    near_singular_cycle,
+)
 from tgmat.cli import main
 from tgmat.errors import TgmatError
 from tgmat.oracle import h_eigen_newton
@@ -183,6 +191,29 @@ class TestCertify:
         assert code == (0 if verdict == "certified_H" else 2) and err == ""
         assert out.startswith(f"verdict,{verdict}\n")
 
+    def test_residuals_of_a_diagonal_near_the_largest_float(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "huge.json", 2, 2, ENTRIES_HUGE_DIAGONAL)
+        code, out, err = run(capsys, "certify", "--input", p)  # a RuntimeWarning fails the test
+        assert code == 0 and err == ""
+        assert out == ("verdict,certified_H\nrule,SDD\nscaling,1.000000,1.000000\n"
+                       "row,residual\n1,1.000000e+308\n2,1.000000e+308\n")
+
+    def test_degenerate_row_in_a_subnormal_weak_chain(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "chain.json", 8, 2, ENTRIES_SUBNORMAL_CHAIN)
+        code, out, err = run(capsys, "certify", "--input", p)
+        assert code == 0 and err == ""
+        assert out == ("verdict,certified_H\nrule,WeaklyChainedDD\nscaling,none\n"
+                       "note,rows [1] have |a_ii...i| <= s_ii; matrix rules skipped\n")
+
+    @pytest.mark.parametrize("delta,rule", [(2e-12, "IrreducibleDD"), (3e-12, "GeneralizedH")])
+    def test_near_singular_cycle_reaches_the_tail_rules(self, capsys, tmp_path, delta, rule):
+        p = write_tensor(tmp_path / "cycle.json", 2, 3, near_singular_cycle(delta))
+        code, out, err = run(capsys, "certify", "--input", p)
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[:2] == ["verdict,certified_H", f"rule,{rule}"]
+        assert (lines[2] == "scaling,none") == (rule == "IrreducibleDD")
+
 
 class TestBounds:
     def test_demo_42_cassini(self, capsys, f42):
@@ -327,6 +358,14 @@ class TestOracle:
         assert lines[0] == "lambda,residual"
         vals = [float(line.split(",")[0]) for line in lines[1:]]
         assert vals == pytest.approx([0.4725, 12.7389], abs=1e-3)
+
+    def test_exact_path_with_entries_near_the_largest_float(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "huge.json", 2, 2, {(1, 1): 1.0, (1, 2): 1e308, (2, 1): 1e308, (2, 2): 1e308})
+        code, out, err = run(capsys, "oracle", "--input", p)  # a RuntimeWarning fails the test
+        assert code == 0 and err == ""
+        vals = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+        # the eigenvalues of [[1, c], [c, c]] tend to c (1 -+ sqrt 5) / 2 for large c
+        assert vals == pytest.approx([-0.6180339887498949e308, 1.618033988749895e308], rel=1e-12)
 
     def test_newton_path(self, capsys, tmp_path):
         p = write_tensor(tmp_path / "diag3.json", 3, 3,

@@ -273,6 +273,22 @@ class TestCertifyHTensor:
         assert not cert.certified and cert.note == "no sufficient condition fired"
         assert len(passes) == 1
 
+    def test_irreducible_dd_reads_the_tensor_digraph(self):
+        # s_12 = 5e-324 / 2 underflows to 0, so the generated matrix is reducible; the
+        # digraph keeps the edge 1 -> 2, and row 2 is strict while row 1 ties
+        t = build_tensor(3, 2, {(1, 1, 1): 5e-324, (1, 1, 2): 5e-324, (2, 2, 2): 1.0, (2, 1, 1): 0.5})
+        G = generated_matrix(t)
+        assert G.data[0, 1] == 0.0 and G.edges[0, 1]
+        cert = certify_h_tensor(t)
+        assert cert.certified and cert.rule == "IrreducibleDD"
+
+    def test_sdd_reads_the_tensor_form(self):
+        # d_1 = |a_111| - s_11 clears P_1 by 1.5e-6, above the 1e-12 margin at d_1 = 1e6 but
+        # not at |a_111| = 2e6, so row 1 is not strict against r_1 and all-ones cannot certify
+        t = build_tensor(3, 2, {(1, 1, 1): 2e6 + 1.5e-6, (1, 1, 2): 1e6, (1, 2, 1): 1e6, (2, 2, 2): 1.0})
+        cert = certify_h_tensor(t)
+        assert cert.rule == "DoublySDD" and cert.scaling is not None and cert.note == ""
+
     def test_certificate_scaling_verifies_definition(self):
         rng = np.random.default_rng(23)
         seen_rules = set()

@@ -139,6 +139,18 @@ class TestExact2D:
         with pytest.raises(WrongDimension):
             h_eigen_exact_2d(unit_tensor(3, 3))
 
+    @pytest.mark.parametrize("k", [300, -300])
+    def test_power_of_two_scaling_is_exact(self, t42, k):
+        # every eigenvalue of the base is far from 0 and far from the others, so the
+        # absolute residual and dedupe tolerances decide nothing at either scale
+        base = DenseTensor(np.ldexp(t42.entries, 600))
+        want = h_eigen_exact_2d(base)
+        got = h_eigen_exact_2d(DenseTensor(np.ldexp(base.entries, k)))
+        assert len(want) == 2
+        assert [p.value for p in got] == [np.ldexp(p.value, k) for p in want]
+        for p, q in zip(got, want):
+            assert np.array_equal(p.vector, q.vector)
+
     def test_matrix_case_matches_dense_solver(self):
         rng = np.random.default_rng(31)
         for _ in range(40):

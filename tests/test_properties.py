@@ -1,16 +1,28 @@
 """Property tests: real bounds scale with the tensor, the batched bounds match the
 one-region reference, bounds and certificates ignore index labels, the bounds hold
-every Newton eigenvalue, and the H-matrix decision agrees with the Jacobi radius."""
+every Newton eigenvalue, the H-matrix decision agrees with the Jacobi radius, and the
+cascade's tensor-form rules and residuals agree with their definitions."""
 
+import itertools
 import random as pyrandom
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ENTRIES_42, ENTRIES_44, boosted_diagonal_tensor, random_sparse_tensor, reference_real_bounds
+from conftest import (
+    ENTRIES_42,
+    ENTRIES_44,
+    ENTRIES_HUGE_DIAGONAL,
+    ENTRIES_SUBNORMAL_CHAIN,
+    boosted_diagonal_tensor,
+    near_boundary_z_tensor,
+    near_singular_cycle,
+    random_sparse_tensor,
+    reference_real_bounds,
+)
 from tgmat.compare import gt
-from tgmat.dominance import certify_h_tensor, is_h_matrix
+from tgmat.dominance import certify_h_tensor, is_h_matrix, is_weakly_chained_dd, tensor_dd
 from tgmat.oracle import h_eigen_newton
 from tgmat.regions import KINDS, build_region, real_bounds
 from tgmat.tensor import DenseTensor, build_tensor, generated_matrix
@@ -169,3 +181,35 @@ def test_h_matrix_decision_matches_the_jacobi_radius(M):
     if res.is_h:
         x = res.scaling
         assert np.all(x > 0.0) and gt(d * x, N @ x).all()
+
+
+def integral(t):
+    """The tensor with its entries rounded to integers, where dominance ties are exact."""
+    return DenseTensor(np.round(t.entries))
+
+
+def off_diagonal_mass(t, i, y):
+    """Row i's sum of |a_{i i2...im}| y_i2 ... y_im over every tuple but (i, ..., i), term by term."""
+    tuples = itertools.product(range(t.dim), repeat=t.order - 1)
+    return sum(abs(t.entries[(i,) + k]) * np.prod(y[list(k)]) for k in tuples if k != (i,) * (t.order - 1))
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(*(seeded(make) for make in (random_sparse_tensor, boosted_diagonal_tensor, near_boundary_z_tensor)),
+                 *(seeded(make).map(integral) for make in (random_sparse_tensor, near_boundary_z_tensor))))
+@example(build_tensor(2, 2, ENTRIES_HUGE_DIAGONAL))
+@example(build_tensor(8, 2, ENTRIES_SUBNORMAL_CHAIN))
+@example(build_tensor(2, 3, near_singular_cycle(2e-12)))
+@example(build_tensor(2, 3, near_singular_cycle(3e-12)))
+def test_cascade_rules_and_residuals_follow_the_tensor(t):
+    G = generated_matrix(t)
+    cert = certify_h_tensor(t)
+    degenerate = bool(np.any(G.diag_abs <= G.s_diag))
+    assert (cert.rule == "SDD") == (not degenerate and tensor_dd(t).kind == "SDD")
+    if cert.rule == "IrreducibleDD":
+        assert is_weakly_chained_dd(t)
+    if cert.scaling is not None:
+        y, m = cert.scaling, t.order
+        for i, res in enumerate(cert.residuals):
+            lead, off = G.diag_abs[i] * y[i] ** (m - 1), off_diagonal_mass(t, i, y)
+            assert abs(res - (lead - off)) <= 1e-12 * max(lead, off), (i, res, lead, off)
