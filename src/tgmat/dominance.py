@@ -228,12 +228,15 @@ def tensor_dd(t: tz.DenseTensor) -> DominanceReport:
 
 def is_weakly_chained_dd(t: tz.DenseTensor) -> bool:
     """Diagonally dominant with a walk from every non-strict row into J."""
-    rep = tensor_dd(t)
+    return _weakly_chained(tz.generated_matrix(t).edges, tensor_dd(t))
+
+
+def _weakly_chained(edges: np.ndarray, rep: DominanceReport) -> bool:
     if rep.kind is None or not rep.strict_rows:
         return False
     J = [i - 1 for i in rep.strict_rows]
     # every row has a walk into J iff J reaches every row along reversed edges
-    return len(J) == t.dim or bool(_reachable(tz.generated_matrix(t).edges.T, J).all())
+    return len(J) == len(edges) or bool(_reachable(edges.T, J).all())
 
 
 def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndarray],
@@ -288,7 +291,7 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
             return _attach_certificate(t, "IrreducibleDD", None, None)
     # exact arithmetic makes a degenerate row that is dominant a zero row; rounding
     # of s_ii at subnormal scale can still leave such a row weakly chained
-    if is_weakly_chained_dd(t):
+    if _weakly_chained(G.edges, dd):
         return _attach_certificate(t, "WeaklyChainedDD", None, None, note)
     return Certificate("not_certified", note=note or "no sufficient condition fired")
 

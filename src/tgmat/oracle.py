@@ -70,14 +70,16 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     real roots are taken from the companion matrix and polished by Newton;
     the branch x = (0, 1) is handled separately.  The polynomial is built
     from the entries scaled by the power of two 2^-e that brings the largest
-    |a| into [1/2, 1), which leaves its roots and every Newton ratio as they
-    are and keeps its coefficients in range; each eigenvalue is scaled back
-    by 2^e.  Eigenvalues are deduplicated within 1e-7.
+    |a| into [1/2, 1) when it is 1 or more, which leaves its roots and every
+    Newton ratio as they are and keeps its coefficients in range; each
+    eigenvalue is scaled back by 2^e.  Smaller entries are not scaled up
+    (e = 0).  Eigenvalues are deduplicated within 1e-7.
     """
     if t.dim != 2:
         raise WrongDimension("exact oracle is limited to dimension 2")
     m = t.order
-    e = int(np.frexp(np.max(np.abs(t.entries)))[1])
+    # scale down only, so 2^-e <= 1 and entries below 1 are used as given
+    e = max(0, int(np.frexp(np.max(np.abs(t.entries)))[1]))
     ts = tz.DenseTensor._wrap(np.ldexp(t.entries, -e))
     # max(1, max |a|) in the scaled units
     scale = max(2.0 ** -e, float(np.max(np.abs(ts.entries))))

@@ -367,6 +367,11 @@ class TestOracle:
         # the eigenvalues of [[1, c], [c, c]] tend to c (1 -+ sqrt 5) / 2 for large c
         assert vals == pytest.approx([-0.6180339887498949e308, 1.618033988749895e308], rel=1e-12)
 
+    def test_exact_path_with_subnormal_entries(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "tiny.json", 2, 2, {(1, 1): 1e-309, (2, 2): 1e-309})
+        code, out, err = run(capsys, "oracle", "--input", p)
+        assert (code, out, err) == (0, "lambda,residual\n0.000000,0.000000e+00\n", "")
+
     def test_newton_path(self, capsys, tmp_path):
         p = write_tensor(tmp_path / "diag3.json", 3, 3,
                          {(1, 1, 1): 2.0, (2, 2, 2): 5.0, (3, 3, 3): 3.0})

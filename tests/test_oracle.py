@@ -151,6 +151,13 @@ class TestExact2D:
         for p, q in zip(got, want):
             assert np.array_equal(p.vector, q.vector)
 
+    def test_subnormal_entries_are_not_scaled_up(self):
+        # 2^-e for the largest |a| below 2^-1024 is beyond the float range; such entries are used as given
+        t = build_tensor(2, 2, {(1, 1): 1e-309, (2, 2): 1e-309})
+        pairs = h_eigen_exact_2d(t)
+        assert [p.value for p in pairs] == [1e-309]
+        assert pairs[0].vector.tolist() == [1.0, 0.0]
+
     def test_matrix_case_matches_dense_solver(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
