@@ -262,11 +262,13 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
     """Run the sufficient-condition cascade on the generated matrix.
 
     Order: SDD, doubly SDD, gamma-SDD (searched), product gamma-SDD
-    (searched), the generalized H-matrix test, irreducible DD with a strict
-    row, and weakly chained diagonal dominance of the tensor itself.  The
-    first rule that fires is reported; the constructive scaling always comes
-    from the H-matrix solve (or is all-ones for SDD).  SDD, irreducible DD
-    and weak chaining read one dominance report of the tensor, |a_{i...i}|
+    (searched), the generalized H-matrix test, and weakly chained diagonal
+    dominance of the tensor itself.  The first rule that fires is reported;
+    the constructive scaling always comes from the H-matrix solve (or is
+    all-ones for SDD).  A weak chain is reported as IrreducibleDD, the
+    paper's name, when the digraph is strongly connected and no row is
+    degenerate: irreducible DD with a strict row is weakly chained.  SDD and
+    weak chaining read one dominance report of the tensor, |a_{i...i}|
     against r_i = s_ii + P_i, and one digraph, the record's ``edges``.  The
     other matrix rules read d = |a_{i...i}| - s_ii, P and Q from the record;
     they are skipped when some d_i is not positive.
@@ -287,12 +289,11 @@ def certify_h_tensor(t: tz.DenseTensor) -> Certificate:
                 return _attach_certificate(t, kind, rep.gamma, x)
         if x is not None:
             return _attach_certificate(t, "GeneralizedH", None, x)
-        if dd.kind and dd.strict_rows and is_irreducible(G.edges):
-            return _attach_certificate(t, "IrreducibleDD", None, None)
     # exact arithmetic makes a degenerate row that is dominant a zero row; rounding
     # of s_ii at subnormal scale can still leave such a row weakly chained
     if _weakly_chained(G.edges, dd):
-        return _attach_certificate(t, "WeaklyChainedDD", None, None, note)
+        rule = "IrreducibleDD" if not degenerate and is_irreducible(G.edges) else "WeaklyChainedDD"
+        return _attach_certificate(t, rule, None, None, note)
     return Certificate("not_certified", note=note or "no sufficient condition fired")
 
 

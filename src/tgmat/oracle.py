@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import WrongDimension
+from .errors import NonFiniteValue, WrongDimension
 
 __all__ = ["EigenPair", "h_eigen_exact_2d", "h_eigen_newton"]
 
@@ -35,7 +35,7 @@ def _finish_pair(t: tz.DenseTensor, lam: float, x: np.ndarray):
     x = x / x[k]
     res = tz.contract(t, x) - lam * x ** (t.order - 1)
     resn = float(np.max(np.abs(res)))
-    if resn > 1e-8 * max(1.0, abs(lam)):
+    if not (np.isfinite(resn) and resn <= 1e-8 * max(1.0, abs(lam))):
         return None
     return EigenPair(float(lam), x, resn)
 
@@ -72,8 +72,9 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     from the entries scaled by the power of two 2^-e that brings the largest
     |a| into [1/2, 1) when it is 1 or more, which leaves its roots and every
     Newton ratio as they are and keeps its coefficients in range; each
-    eigenvalue is scaled back by 2^e.  Smaller entries are not scaled up
-    (e = 0).  Eigenvalues are deduplicated within 1e-7.
+    eigenvalue is scaled back by 2^e, and one beyond the float range raises
+    NonFiniteValue.  Smaller entries are not scaled up (e = 0).  Eigenvalues
+    are deduplicated within 1e-7.
     """
     if t.dim != 2:
         raise WrongDimension("exact oracle is limited to dimension 2")
@@ -89,15 +90,11 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     p = np.zeros(2 * m - 1)
     p[: m] += c2
     p[m - 1 :] -= c1
-    pairs = []
     if np.max(np.abs(p)) <= 1e-14 * scale:
         # degenerate pencil: every direction solves; sample s in {0, 1, -1}
-        for s in (0.0, 1.0, -1.0):
-            lam = float(np.ldexp(np.polyval(c1[::-1], s), e))
-            pair = _finish_pair(t, lam, np.array([1.0, s]))
-            if pair:
-                pairs.append(pair)
+        ss = [0.0, 1.0, -1.0]
     else:
+        ss = []
         dp = np.polyder(p[::-1])
         roots = np.roots(np.trim_zeros(p[::-1], "f"))
         for r in roots:
@@ -109,18 +106,20 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
                 if deriv == 0.0:
                     break
                 s -= np.polyval(p[::-1], s) / deriv
-            lam = float(np.ldexp(np.polyval(c1[::-1], s), e))
-            pair = _finish_pair(t, lam, np.array([1.0, s]))
-            if pair:
-                pairs.append(pair)
+            ss.append(s)
+    # (scaled eigenvalue, vector) candidates
+    cands = [(np.polyval(c1[::-1], s), np.array([1.0, s])) for s in ss]
     # the x = (0, 1) branch is an eigenpair iff the first component vanishes
     e2 = np.array([0.0, 1.0])
     w = tz.contract(ts, e2)
     if abs(w[0]) <= 1e-12 * scale:
-        pair = _finish_pair(t, float(np.ldexp(w[1], e)), e2)
-        if pair:
-            pairs.append(pair)
-    return _dedupe(pairs, 1e-7)
+        cands.append((w[1], e2))
+    with np.errstate(over="ignore"):
+        lams = np.ldexp([v for v, _ in cands], e)
+    if not np.isfinite(lams).all():
+        raise NonFiniteValue("an H-eigenvalue is beyond the float range")
+    pairs = [_finish_pair(t, float(lam), x) for lam, (_, x) in zip(lams, cands)]
+    return _dedupe([pair for pair in pairs if pair], 1e-7)
 
 
 # Newton caps shared by every start: 80 steps, the full step then the

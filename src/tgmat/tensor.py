@@ -363,16 +363,20 @@ def _sym_tolerance(arr: np.ndarray) -> float:
     return 1e-12 * float(np.max(np.abs(arr)))
 
 
+def _within(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
+    """Whether A and B differ by at most tol everywhere (exactly at tol 0); an overflowing difference is not."""
+    if tol == 0.0:
+        return np.array_equal(A, B)
+    with np.errstate(over="ignore"):
+        return bool(np.max(np.abs(A - B)) <= tol)
+
+
 def _symmetric(A: np.ndarray, tol: float) -> bool:
     """Whether A changes by at most tol under every permutation of its axes; exact equality at tol 0.
 
     Transpositions of neighbouring axes generate the whole group.
     """
-    for axis in range(A.ndim - 1):
-        B = np.swapaxes(A, axis, axis + 1)
-        if (not np.array_equal(A, B)) if tol == 0.0 else np.max(np.abs(A - B)) > tol:
-            return False
-    return True
+    return all(_within(A, np.swapaxes(A, axis, axis + 1), tol) for axis in range(A.ndim - 1))
 
 
 def classify_symmetry(t: DenseTensor) -> str:
@@ -380,28 +384,18 @@ def classify_symmetry(t: DenseTensor) -> str:
 
     Symmetric means invariant under every permutation of the indices.
     Strongly symmetric means constant on each similarity class, where two
-    tuples are similar when their sets of distinct indices coincide.
+    tuples are similar when their sets of distinct indices coincide.  For a
+    symmetric tensor that is a_{i i j k...} = a_{j i j k...}: such moves, one
+    extra copy of an index turned into another index of the tuple, join any
+    two similar tuples.  At order 2 symmetric is strongly symmetric.
     """
-    m, n = t.order, t.dim
     A = t.entries
     tol = _sym_tolerance(A)
-
-    # a tuple's class key is the set of its indices as a bit string, index i at bit
-    # i % 64 of word i // 64, so no shift wraps; it is built one axis at a time
-    i = np.arange(n)
-    bits = np.zeros(((n + 63) // 64, n), dtype=np.uint64)
-    bits[i // 64, i] = np.left_shift(np.uint64(1), (i % 64).astype(np.uint64))
-    keys = bits
-    for _ in range(m - 1):
-        keys = (keys[:, :, None] | bits[:, None, :]).reshape(len(bits), -1)
-    order = np.lexsort(keys)
-    sorted_keys = keys[:, order]
-    sorted_vals = A.ravel()[order]
-    starts = np.flatnonzero(np.r_[True, (sorted_keys[:, 1:] != sorted_keys[:, :-1]).any(axis=0)])
-    spread = np.maximum.reduceat(sorted_vals, starts) - np.minimum.reduceat(sorted_vals, starts)
-    if not (spread > tol).any():
+    if not _symmetric(A, tol):
+        return "none"
+    if A.ndim < 3 or _within(np.einsum("ii...->i...", A), np.einsum("jij...->ij...", A), tol):
         return "strongly_symmetric"
-    return "symmetric" if _symmetric(A, tol) else "none"
+    return "symmetric"
 
 
 def _check_vector(t: DenseTensor, x) -> np.ndarray:

@@ -367,6 +367,12 @@ class TestOracle:
         # the eigenvalues of [[1, c], [c, c]] tend to c (1 -+ sqrt 5) / 2 for large c
         assert vals == pytest.approx([-0.6180339887498949e308, 1.618033988749895e308], rel=1e-12)
 
+    def test_eigenvalue_beyond_the_float_range_is_a_data_error(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "huge.json", 2, 2, {(i, j): 1e308 for i in (1, 2) for j in (1, 2)})
+        code, out, err = run(capsys, "oracle", "--input", p)
+        assert (code, out) == (65, "")
+        assert err.splitlines() == ["tgmat: data error: an H-eigenvalue is beyond the float range"]
+
     def test_exact_path_with_subnormal_entries(self, capsys, tmp_path):
         p = write_tensor(tmp_path / "tiny.json", 2, 2, {(1, 1): 1e-309, (2, 2): 1e-309})
         code, out, err = run(capsys, "oracle", "--input", p)

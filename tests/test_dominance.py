@@ -282,6 +282,14 @@ class TestCertifyHTensor:
         cert = certify_h_tensor(t)
         assert cert.certified and cert.rule == "IrreducibleDD"
 
+    def test_degenerate_row_in_an_irreducible_chain_is_weakly_chained(self):
+        # row 1 is the subnormal chain's degenerate row, and row 2 points back to it, so the
+        # digraph is strongly connected; a degenerate row keeps the weak-chain label and note
+        t = build_tensor(8, 2, {(1,) * 8: 5e-324, (1,) * 7 + (2,): 5e-324, (2,) * 8: 1.0, (2,) + (1,) * 7: 0.5})
+        assert is_irreducible(generated_matrix(t).edges)
+        cert = certify_h_tensor(t)
+        assert (cert.rule, cert.note) == ("WeaklyChainedDD", "rows [1] have |a_ii...i| <= s_ii; matrix rules skipped")
+
     def test_sdd_reads_the_tensor_form(self):
         # d_1 = |a_111| - s_11 clears P_1 by 1.5e-6, above the 1e-12 margin at d_1 = 1e6 but
         # not at |a_111| = 2e6, so row 1 is not strict against r_1 and all-ones cannot certify

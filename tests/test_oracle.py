@@ -6,7 +6,7 @@ import pytest
 from conftest import random_sparse_tensor
 from tgmat import oracle
 from tgmat.dominance import _cw_bracket
-from tgmat.errors import WrongDimension
+from tgmat.errors import NonFiniteValue, WrongDimension
 from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton
 from tgmat.tensor import DenseTensor, build_tensor, contract, unit_tensor, zero_tensor
 
@@ -157,6 +157,14 @@ class TestExact2D:
         pairs = h_eigen_exact_2d(t)
         assert [p.value for p in pairs] == [1e-309]
         assert pairs[0].vector.tolist() == [1.0, 0.0]
+
+    def test_eigenvalue_beyond_the_float_range_raises(self):
+        # the eigenvalues are 0 and 2e308
+        with pytest.raises(NonFiniteValue):
+            h_eigen_exact_2d(DenseTensor(np.full((2, 2), 1e308)))
+
+    def test_nan_residual_is_not_kept(self, t42):
+        assert oracle._finish_pair(t42, float("nan"), np.array([1.0, 0.5])) is None
 
     def test_matrix_case_matches_dense_solver(self):
         rng = np.random.default_rng(31)

@@ -1,7 +1,8 @@
 """Property tests: real bounds scale with the tensor, the batched bounds match the
 one-region reference, bounds and certificates ignore index labels, the bounds hold
-every Newton eigenvalue, the H-matrix decision agrees with the Jacobi radius, and the
-cascade's tensor-form rules and residuals agree with their definitions."""
+every Newton eigenvalue, the H-matrix decision agrees with the Jacobi radius, the
+cascade's tensor-form rules and residuals agree with their definitions, and the
+symmetry class agrees with a brute-force reading of its definition."""
 
 import itertools
 import random as pyrandom
@@ -25,7 +26,7 @@ from tgmat.compare import gt
 from tgmat.dominance import certify_h_tensor, is_h_matrix, is_weakly_chained_dd, tensor_dd
 from tgmat.oracle import h_eigen_newton
 from tgmat.regions import KINDS, build_region, real_bounds
-from tgmat.tensor import DenseTensor, build_tensor, generated_matrix
+from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -213,3 +214,41 @@ def test_cascade_rules_and_residuals_follow_the_tensor(t):
         for i, res in enumerate(cert.residuals):
             lead, off = G.diag_abs[i] * y[i] ** (m - 1), off_diagonal_mass(t, i, y)
             assert abs(res - (lead - off)) <= 1e-12 * max(lead, off), (i, res, lead, off)
+
+
+@st.composite
+def integer_tensors(draw):
+    """An integer tensor of order 2-5 and dimension 1-5, drawn constant on each set of
+    indices, on each sorted tuple or on each tuple, with at most one entry then bumped."""
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 5))
+    key = draw(st.sampled_from([frozenset, lambda tup: tuple(sorted(tup)), tuple]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values, A = {}, np.zeros((n,) * m)
+    for tup in itertools.product(range(n), repeat=m):
+        A[tup] = values.setdefault(key(tup), int(rng.integers(-2, 3)))
+    if draw(st.booleans()):
+        A[tuple(draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m)))] += 1
+    return DenseTensor(A)
+
+
+def reference_symmetry(A):
+    """Constant on each set of indices is strongly symmetric; else equal to its sorted
+    tuple everywhere is symmetric."""
+    tuples = list(itertools.product(range(len(A)), repeat=A.ndim))
+    classes = {}
+    for tup in tuples:
+        classes.setdefault(frozenset(tup), set()).add(A[tup])
+    if all(len(v) == 1 for v in classes.values()):
+        return "strongly_symmetric"
+    return "symmetric" if all(A[tup] == A[tuple(sorted(tup))] for tup in tuples) else "none"
+
+
+@PROPERTY_SETTINGS
+@given(integer_tensors(), st.randoms(use_true_random=False), st.integers(-60, 60))
+def test_symmetry_class_matches_the_index_set_reference(t, random, k):
+    verdict = classify_symmetry(t)
+    assert verdict == reference_symmetry(t.entries)
+    perm = list(range(t.dim))
+    random.shuffle(perm)
+    assert classify_symmetry(relabel(t, perm)) == verdict
+    assert classify_symmetry(DenseTensor(np.ldexp(t.entries, k))) == verdict

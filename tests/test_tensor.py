@@ -283,6 +283,11 @@ class TestSymmetry:
         arr[65, 65, 0] = 4.0
         assert classify_symmetry(DenseTensor(arr)) == "none"
 
+    def test_entries_near_the_largest_float(self):
+        # the transposed pair's difference passes the float range: not within the slack, and no warning
+        assert classify_symmetry(DenseTensor(np.array([[0.5, 1e308], [-1e308, 1.0]]))) == "none"
+        assert classify_symmetry(DenseTensor(np.array([[0.5, 1e308], [1e308, 1.0]]))) == "strongly_symmetric"
+
     def test_random_symmetrised(self):
         rng = np.random.default_rng(12)
         import itertools
