@@ -27,15 +27,19 @@ class EigenPair:
     residual: float
 
 
-def _finish_pair(t: tz.DenseTensor, lam: float, x: np.ndarray):
-    """Normalise to max-norm one, fix the sign, and re-measure the residual."""
+def _finish_pair(t: tz.DenseTensor, lam: float, x: np.ndarray, amax: float):
+    """Normalise to max-norm one, fix the sign, and re-measure the residual.
+
+    The pair is kept when its residual is within 1e-8 max(|lam|, amax),
+    where ``amax`` is the largest |a| of ``t``.
+    """
     k = int(np.argmax(np.abs(x)))
     if x[k] == 0.0:
         return None
     x = x / x[k]
     res = tz.contract(t, x) - lam * x ** (t.order - 1)
     resn = float(np.max(np.abs(res)))
-    if not (np.isfinite(resn) and resn <= 1e-8 * max(1.0, abs(lam))):
+    if not (np.isfinite(resn) and resn <= 1e-8 * max(abs(lam), amax)):
         return None
     return EigenPair(float(lam), x, resn)
 
@@ -79,11 +83,12 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     if t.dim != 2:
         raise WrongDimension("exact oracle is limited to dimension 2")
     m = t.order
+    amax = float(np.max(np.abs(t.entries)))
     # scale down only, so 2^-e <= 1 and entries below 1 are used as given
-    e = max(0, int(np.frexp(np.max(np.abs(t.entries)))[1]))
+    e = max(0, int(np.frexp(amax)[1]))
     ts = tz.DenseTensor._wrap(np.ldexp(t.entries, -e))
     # max(1, max |a|) in the scaled units
-    scale = max(2.0 ** -e, float(np.max(np.abs(ts.entries))))
+    scale = float(np.ldexp(max(1.0, amax), -e))
     c1 = _branch_coeffs(ts, 0)
     c2 = _branch_coeffs(ts, 1)
     # p = c2(s) - s^{m-1} c1(s), ascending coefficients
@@ -118,7 +123,7 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
         lams = np.ldexp([v for v, _ in cands], e)
     if not np.isfinite(lams).all():
         raise NonFiniteValue("an H-eigenvalue is beyond the float range")
-    pairs = [_finish_pair(t, float(lam), x) for lam, (_, x) in zip(lams, cands)]
+    pairs = [_finish_pair(t, float(lam), x, amax) for lam, (_, x) in zip(lams, cands)]
     return _dedupe([pair for pair in pairs if pair], 1e-7)
 
 
@@ -127,7 +132,7 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
 _MAX_ITER = 80
 _HALVINGS = 0.5 ** np.arange(1, 30)
 _TOL = 1e-10
-# undamped steps that polish each converged pair before the dedupe
+# full steps that polish each converged pair before the dedupe
 _POLISH_STEPS = 8
 # numbers held by the contraction of one chunk's halving round, which
 # evaluates len(_HALVINGS) trial points of n^(m-1) products per start
@@ -158,8 +163,10 @@ def _system(A: np.ndarray, m: int, X: np.ndarray, L: np.ndarray) -> np.ndarray:
 def _newton_steps(A, B, m, X, L, F):
     """The Newton step solving J d = -F for each start, and which starts have one.
 
-    ``B`` holds the Jacobian's tensor (see ``_operators``).  A singular
-    J fails only its own start.
+    ``B`` holds the Jacobian's tensor (see ``_operators``).  A singular J
+    fails only its own start: when the batched solve raises, the starts
+    whose J has ``slogdet`` sign 0 (a zero LU pivot, where ``solve``
+    raises) get no step, and the others are solved again in one call.
     """
     k, n = X.shape
     d = np.arange(n)
@@ -168,35 +175,33 @@ def _newton_steps(A, B, m, X, L, F):
     J[:, d, d] -= (L * (m - 1))[:, None] * X ** (m - 2)
     J[:, :n, n] = -(X ** (m - 1))
     J[:, n, :n] = 2.0 * X
-    ok = np.ones(k, dtype=bool)
     try:
-        return np.linalg.solve(J, -F[:, :, None])[:, :, 0], ok
+        return np.linalg.solve(J, -F[:, :, None])[:, :, 0], np.ones(k, dtype=bool)
     except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(J)[0] != 0.0
         step = np.zeros((k, n + 1))
-        for i in range(k):
-            try:
-                step[i] = np.linalg.solve(J[i], -F[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
+        step[ok] = np.linalg.solve(J[ok], -F[ok, :, None])[:, :, 0]
         return step, ok
 
 
-def _newton(A, B, m, X, L):
-    """Damped Newton from every row of (X, L) at once.
+def _newton(A, B, m, X, L, halvings=_HALVINGS, tol=_TOL, steps=_MAX_ITER):
+    """Newton from every row of (X, L) at once, for at most ``steps`` steps.
 
     Each start first tries the full step; a start that rejects it takes the
-    first of the halvings 0.5^1 .. 0.5^29 that lowers its residual, all of
-    them evaluated in one stacked call.  Scaling by a power of two is exact,
-    so this is the halving a one-at-a-time search would take.  A start stops
-    when it converges, when no halving helps or when its Jacobian is
-    singular.  Returns the final X, L and the mask of converged starts.
+    first of ``halvings`` that lowers its residual, all of them evaluated in
+    one stacked call.  Scaling by a power of two is exact, so this is the
+    halving a one-at-a-time search would take.  A start stops when its
+    residual is within ``tol``, when its Jacobian is singular or when no
+    step length lowers its residual.  The defaults are the damped search;
+    with no halvings, ``tol`` 0 and ``_POLISH_STEPS`` steps it is the
+    polish.  Returns the final X, L and the mask of starts within ``tol``.
     """
     n = X.shape[1]
     F = _system(A, m, X, L)
     norm = np.max(np.abs(F), axis=1)
     live = np.ones(len(X), dtype=bool)
-    for _ in range(_MAX_ITER):
-        live &= norm > _TOL
+    for _ in range(steps):
+        live &= norm > tol
         idx = np.flatnonzero(live)
         if not idx.size:
             break
@@ -210,36 +215,21 @@ def _newton(A, B, m, X, L):
         a = idx[full]
         X[a], L[a], F[a], norm[a] = Xt[full], Lt[full], Ft[full], nt[full]
         r, step = idx[~full], step[~full]
-        if not r.size:
+        # a start that rejects the full step stays only if a halving lowers its residual
+        live[r] = False
+        if not (r.size and len(halvings)):
             continue
-        Xh = X[r][:, None, :] + _HALVINGS[:, None] * step[:, None, :n]
-        Lh = L[r][:, None] + _HALVINGS * step[:, n:]
-        Fh = _system(A, m, Xh.reshape(-1, n), Lh.ravel()).reshape(len(r), len(_HALVINGS), n + 1)
+        Xh = X[r][:, None, :] + halvings[:, None] * step[:, None, :n]
+        Lh = L[r][:, None] + halvings * step[:, n:]
+        Fh = _system(A, m, Xh.reshape(-1, n), Lh.ravel()).reshape(len(r), len(halvings), n + 1)
         lower = np.max(np.abs(Fh), axis=2) < norm[r][:, None]
         first = np.argmax(lower, axis=1)
         took = lower[np.arange(len(r)), first]
-        live[r[~took]] = False
         r, first = r[took], first[took]
+        live[r] = True
         X[r], L[r], F[r] = Xh[took, first], Lh[took, first], Fh[took, first]
         norm[r] = np.max(np.abs(F[r]), axis=1)
-    return X, L, norm <= _TOL
-
-
-def _polish(A, B, m, X, L):
-    """Undamped Newton steps on every row, each kept only where it lowers the residual."""
-    n = X.shape[1]
-    F = _system(A, m, X, L)
-    norm = np.max(np.abs(F), axis=1)
-    for _ in range(_POLISH_STEPS):
-        step, ok = _newton_steps(A, B, m, X, L, F)
-        Xt, Lt = X + step[:, :n], L + step[:, n]
-        Ft = _system(A, m, Xt, Lt)
-        nt = np.max(np.abs(Ft), axis=1)
-        keep = ok & (nt < norm)
-        if not keep.any():
-            break
-        X[keep], L[keep], F[keep], norm[keep] = Xt[keep], Lt[keep], Ft[keep], nt[keep]
-    return X, L
+    return X, L, norm <= tol
 
 
 def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list[EigenPair]:
@@ -247,15 +237,17 @@ def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list
 
     Start vectors are drawn uniformly from the sphere with a fixed seed, the
     initial eigenvalue guess is the Rayleigh-like quotient when it is usable,
-    and converged pairs are polished by a few undamped Newton steps, then
-    deduplicated by eigenvalue within 1e-6.  The starts are taken from the
-    seed's stream in chunks of a fixed size, and all starts of a chunk take
-    each damped step together.  The returned set is whatever the starts
-    found; completeness is not claimed.
+    and converged pairs are polished by the same Newton loop with the full
+    step alone, then kept when the residual is within 1e-8 max(|lam|, max|a|)
+    and deduplicated by eigenvalue within 1e-6.  The starts are taken from
+    the seed's stream in chunks of a fixed size, and all starts of a chunk
+    take each step together.  The returned set is whatever the starts found;
+    completeness is not claimed.
     """
     rng = np.random.default_rng(seed)
     m, n = t.order, t.dim
     A, B = _operators(t)
+    amax = float(np.max(np.abs(t.entries)))
     chunk = max(1, _CHUNK_ELEMENTS // (len(_HALVINGS) * n ** (m - 1)))
     pairs = []
     for done in range(0, starts, chunk):
@@ -267,8 +259,9 @@ def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list
             L = tz.poly_values(t, X) / denom
         L = np.where((np.abs(denom) > 1e-8) & np.isfinite(L), L, 0.0)
         X, L, ok = _newton(A, B, m, X, L)
-        for x, lam in zip(*_polish(A, B, m, X[ok], L[ok])):
-            pair = _finish_pair(t, float(lam), x)
+        X, L, _ = _newton(A, B, m, X[ok], L[ok], halvings=(), tol=0.0, steps=_POLISH_STEPS)
+        for x, lam in zip(X, L):
+            pair = _finish_pair(t, float(lam), x, amax)
             if pair:
                 pairs.append(pair)
     return _dedupe(pairs, 1e-6)

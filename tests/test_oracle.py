@@ -16,6 +16,12 @@ def residual_ok(t, pair):
     return np.max(np.abs(res)) <= 1e-8 * max(1.0, abs(pair.value))
 
 
+def within_relative_tolerance(t, pair):
+    """The residual is within 1e-8 max(|lambda|, max|a|), the tolerance that scales with t."""
+    res = contract(t, pair.vector) - pair.value * pair.vector ** (t.order - 1)
+    return np.max(np.abs(res)) <= 1e-8 * max(abs(pair.value), np.max(np.abs(t.entries)))
+
+
 def contract_jacobian(t, x):
     """Jacobian of ``contract`` with respect to x, an n x n matrix."""
     m, n = t.order, t.dim
@@ -94,7 +100,7 @@ def reference_newton(t, starts, seed):
         x, lam, ok = reference_solve(t, x0, reference_start(t, x0))
         if not ok or not np.all(np.isfinite(x)) or not np.isfinite(lam):
             continue
-        pair = oracle._finish_pair(t, lam, x)
+        pair = oracle._finish_pair(t, lam, x, float(np.max(np.abs(t.entries))))
         if pair:
             pairs.append(pair)
     return oracle._dedupe(pairs, 1e-6)
@@ -163,8 +169,15 @@ class TestExact2D:
         with pytest.raises(NonFiniteValue):
             h_eigen_exact_2d(DenseTensor(np.full((2, 2), 1e308)))
 
+    def test_tiny_tensor_keeps_no_non_eigenpair(self, t42):
+        # at 1e-300 every pencil coefficient is below the degenerate-pencil test, whose
+        # sampled directions have residuals far above the tensor's own scale
+        t = DenseTensor(t42.entries * 1e-300)
+        for p in h_eigen_exact_2d(t):
+            assert within_relative_tolerance(t, p)
+
     def test_nan_residual_is_not_kept(self, t42):
-        assert oracle._finish_pair(t42, float("nan"), np.array([1.0, 0.5])) is None
+        assert oracle._finish_pair(t42, float("nan"), np.array([1.0, 0.5]), 1.0) is None
 
     def test_matrix_case_matches_dense_solver(self):
         rng = np.random.default_rng(31)
@@ -203,6 +216,15 @@ class TestNewton:
             t = random_sparse_tensor(rng, order=3, dim=3)
             for p in h_eigen_newton(t, starts=60, seed=4):
                 assert residual_ok(t, p)
+
+    def test_small_tensor_keeps_no_non_eigenpair(self):
+        # at 2^-30 an absolute residual below 1e-8 says nothing; the tolerance scales with the entries
+        T = build_tensor(3, 3, {
+            (1, 1, 1): 1.0, (2, 2, 2): 2.0, (3, 3, 3): 3.0, (1, 2, 2): 0.3, (2, 3, 1): -0.4, (3, 1, 2): 0.2,
+        })
+        t = DenseTensor(np.ldexp(T.entries, -30))
+        for p in h_eigen_newton(t, starts=200, seed=1):
+            assert within_relative_tolerance(t, p)
 
     def test_scaling_covariance(self):
         rng = np.random.default_rng(33)
@@ -252,6 +274,43 @@ class TestBatchedNewton:
         X, L, ok = batched_solve(t, X0)
         assert ok.tolist() == [False, True, True, True]
         assert sorted(np.round(L[1:], 8)) == [2.0, 3.0, 5.0]
+
+    def test_singular_start_leaves_the_other_steps_bitwise(self):
+        # integer entries and dyadic starts keep every entry of J and F exact, so the J
+        # built here is the engine's bit for bit; x_3 = 0 zeroes row 3 of the second J
+        t = build_tensor(3, 3, {
+            (1, 1, 1): 2.0, (1, 2, 3): 1.0, (1, 3, 3): -3.0, (2, 2, 2): 5.0, (2, 1, 3): 2.0, (3, 3, 3): 3.0,
+        })
+        X = np.array([[1.0, 0.5, 0.25], [0.5, -1.0, 0.0], [0.25, 0.75, -1.0], [-1.0, 0.125, 0.5]])
+        L = np.array([1.5, -2.0, 0.25, 4.0])
+        A, B = oracle._operators(t)
+        F = oracle._system(A, 3, X, L)
+        step, ok = oracle._newton_steps(A, B, 3, X, L, F)
+        assert ok.tolist() == [True, False, True, True]
+        for k in (0, 2, 3):
+            J = np.zeros((4, 4))
+            J[:3, :3] = contract_jacobian(t, X[k]) - 2.0 * L[k] * np.diag(X[k])
+            J[:3, 3] = -(X[k] ** 2)
+            J[3, :3] = 2.0 * X[k]
+            assert np.array_equal(step[k], np.linalg.solve(J, -F[k]))
+
+    def test_polish_lowers_or_keeps_each_residual(self, t44):
+        # converged starts, and raw starts of which some reject their first full step
+        rng = np.random.default_rng(43)
+        X0 = rng.standard_normal((40, 4))
+        X0 /= np.linalg.norm(X0, axis=1)[:, None]
+        X, L, ok = batched_solve(t44, X0)
+        X = np.vstack([X[ok], X0])
+        L = np.concatenate([L[ok], [reference_start(t44, x0) for x0 in X0]])
+        A, B = oracle._operators(t44)
+        F = oracle._system(A, 4, X, L)
+        before = np.max(np.abs(F), axis=1)
+        step, _ = oracle._newton_steps(A, B, 4, X, L, F)
+        rejects = np.max(np.abs(oracle._system(A, 4, X + step[:, :4], L + step[:, 4])), axis=1) >= before
+        assert 0 < rejects.sum() < len(X)
+        Xp, Lp, _ = oracle._newton(A, B, 4, X.copy(), L.copy(), halvings=(), tol=0.0, steps=oracle._POLISH_STEPS)
+        assert np.all(np.max(np.abs(oracle._system(A, 4, Xp, Lp)), axis=1) <= before)
+        assert np.array_equal(Xp[rejects], X[rejects]) and np.array_equal(Lp[rejects], L[rejects])
 
     def test_no_start_and_one_start(self, t44):
         assert h_eigen_newton(t44, starts=0, seed=1) == []
