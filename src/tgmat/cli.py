@@ -45,7 +45,7 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_vec(v) -> str:
-    return ",".join(_fmt(float(x)) for x in v)
+    return ",".join(map(_fmt, np.asarray(v, dtype=float).tolist()))
 
 
 def _load_state(path) -> sp.SpinState:

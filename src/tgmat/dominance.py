@@ -245,14 +245,14 @@ def _attach_certificate(t: tz.DenseTensor, rule: str, gamma, x: Optional[np.ndar
 
     The slack of row i is |a_{i...i}| y_i^(m-1) minus the row's off-diagonal
     mass at y, the contraction of |A[i]| with its diagonal tuple set to 0,
-    taken one row at a time so that no copy of the whole tensor is made.
+    read from the tensor's nonzero list where it has one.
     """
     if x is None:
         return Certificate("certified_H", rule, gamma, None, None, note)
     m = t.order
     y = np.power(x, 1.0 / (m - 1))
     scale = tz.generated_matrix(t).diag_abs * y ** (m - 1)
-    off = np.array([tz._contract(row.reshape(1, -1), y[None], m - 1)[0, 0] for row in tz._off_rows(t)])
+    off = tz._off_mass(t, y)
     if not (np.isfinite(scale) & gt(scale, off)).all():
         return Certificate("certified_H", rule, gamma, None, None, note + " (scaling dropped: slack not strict)")
     return Certificate("certified_H", rule, gamma, y, scale - off, note)

@@ -63,10 +63,13 @@ class DenseTensor:
     """Immutable order-m, dimension-n array of real entries (m >= 2).
 
     ``_record`` holds the generated-matrix record once ``generated_matrix``
-    has built it.
+    has built it.  ``_nonzeros`` is None for a tensor made from an array;
+    a tensor built from a list of entries holds its nonzero entries there,
+    as read-only 0-based index rows (shape (k, m)) and values, in the order
+    of their positions in the array.
     """
 
-    __slots__ = ("order", "dim", "entries", "_record")
+    __slots__ = ("order", "dim", "entries", "_record", "_nonzeros")
 
     def __init__(self, entries: np.ndarray):
         arr = np.array(entries, dtype=float)
@@ -87,6 +90,7 @@ class DenseTensor:
         self.dim = arr.shape[0]
         self.entries = arr
         self._record = None
+        self._nonzeros = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
@@ -195,8 +199,8 @@ def _float_array(xs) -> np.ndarray:
         return np.array([x if abs(x) <= sys.float_info.max else math.inf if x > 0 else -math.inf for x in xs], dtype=float)
 
 
-def _repeats(pos: np.ndarray) -> np.ndarray:
-    """Mask of the entries of ``pos`` equal to an earlier entry.
+def _repeats(pos: np.ndarray):
+    """The stable sort order of ``pos`` and the mask of its entries equal to an earlier entry.
 
     Found by a stable sort and a comparison of neighbours: numpy's unique
     costs about 12 ms of imports on its first call in a process.
@@ -204,7 +208,7 @@ def _repeats(pos: np.ndarray) -> np.ndarray:
     by_pos = np.argsort(pos, kind="stable")
     repeated = np.zeros(len(pos), dtype=bool)
     repeated[by_pos[1:]] = pos[by_pos[1:]] == pos[by_pos[:-1]]
-    return repeated
+    return by_pos, repeated
 
 
 def _label(rows, p: int) -> tuple:
@@ -218,7 +222,7 @@ def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, sym
     Raises for the first row that lies outside 1..dim, repeats an earlier
     row or holds a value that is not finite, tried in that order within a
     row.  With ``symmetric`` each value is also written at every
-    permutation of its row.
+    permutation of its row.  The tensor keeps the nonzero entries written.
     """
     if order < 2:
         raise TgmatError("order must be at least 2")
@@ -227,11 +231,13 @@ def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, sym
     arr = _dense_zeros(order, dim)
     strides = dim ** np.arange(order - 1, -1, -1)
     inside = ((idx >= 1) & (idx <= dim)).all(axis=1)
+    cols = idx - 1
     # a row out of range gets a position of its own, so it repeats no other row
-    pos = np.where(inside, (idx - 1) @ strides, -1 - np.arange(len(idx)))
+    pos = np.where(inside, cols @ strides, -1 - np.arange(len(idx)))
+    by_pos, repeated = _repeats(pos)
     _raise_first([
         (~inside, lambda p: IndexOutOfRange(f"index tuple {_label(rows, p)} outside 1..{dim}")),
-        (_repeats(pos), lambda p: DuplicateEntry(f"index tuple {_label(rows, p)} listed twice")),
+        (repeated, lambda p: DuplicateEntry(f"index tuple {_label(rows, p)} listed twice")),
         (~np.isfinite(vals), lambda p: NonFiniteValue(f"entry {_label(rows, p)} is not finite")),
     ])
     arr.flat[pos] = vals
@@ -241,16 +247,25 @@ def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, sym
         swaps = [np.r_[:a, a + 1, a, a + 2:order] for a in range(order - 1)]
         seen = np.zeros(arr.size, dtype=bool)
         seen[pos] = True
-        perms, perm_vals = idx - 1, vals
+        written = [(cols, vals, pos)]
+        perms, perm_vals = cols, vals
         while len(perms):
             perms = np.concatenate([perms[:, swap] for swap in swaps])
             perm_vals = np.tile(perm_vals, order - 1)
             at = perms @ strides
-            fresh = ~seen[at] & ~_repeats(at)  # one row per new position
+            fresh = ~seen[at] & ~_repeats(at)[1]  # one row per new position
             perms, perm_vals, at = perms[fresh], perm_vals[fresh], at[fresh]
             seen[at] = True
             arr.flat[at] = perm_vals
-    return DenseTensor._wrap(arr)
+            written.append((perms, perm_vals, at))
+        cols, vals, pos = map(np.concatenate, zip(*written))
+        by_pos = np.argsort(pos)
+    t = DenseTensor._wrap(arr)
+    keep = by_pos[vals[by_pos] != 0.0]
+    t._nonzeros = (cols[keep], vals[keep])
+    for part in t._nonzeros:
+        part.flags.writeable = False
+    return t
 
 
 def build_tensor(order: int, dim: int, entries) -> DenseTensor:
@@ -300,9 +315,29 @@ def _off_rows(t: DenseTensor):
         yield row
 
 
+def _sum_by(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """The float sums of ``weights`` grouped by ``keys`` in 0..size-1, in the order given; a sum beyond the float range is inf."""
+    return np.bincount(keys, weights=weights, minlength=size).astype(float, copy=False)  # an empty bincount is of integers
+
+
+def _off_entries(t: DenseTensor):
+    """The nonzero list's entries off the diagonal tuples: their rows, trailing index columns (shape (k, m - 1)) and moduli."""
+    cols, vals = t._nonzeros
+    off = (cols != cols[:, :1]).any(axis=1)
+    return cols[off, 0], cols[off, 1:], np.abs(vals[off])
+
+
 def _row_pass(t: DenseTensor):
-    """Each |A[i]| taken once: the deleted row sums r, and (m - 1) s_ij before the division."""
+    """The deleted row sums r, and (m - 1) s_ij before the division.
+
+    Summed from the nonzero list, in the order of the positions, where the
+    tensor has one; otherwise from each |A[i]| taken once.
+    """
     m, n = t.order, t.dim
+    if t._nonzeros is not None:
+        rows, trailing, moduli = _off_entries(t)
+        keys = (rows[:, None] * n + trailing).ravel()
+        return _sum_by(rows, moduli, n), _sum_by(keys, np.repeat(moduli, m - 1), n * n).reshape(n, n)
     # trailing axis k holds j: sum over all the others
     others = [tuple(a for a in range(m - 1) if a != k) for k in range(m - 1)]
     r, mass = np.empty(n), np.zeros((n, n))
@@ -313,22 +348,37 @@ def _row_pass(t: DenseTensor):
     return r, mass
 
 
+def _off_mass(t: DenseTensor, y: np.ndarray) -> np.ndarray:
+    """Each row's off-diagonal mass at y > 0: sum |a_{i i2...im}| y_{i2}...y_{im} over the tuples other than (i, ..., i).
+
+    Read from the nonzero list where the tensor has one, and otherwise one
+    row of |A| at a time, so that no copy of the whole tensor is made.  A
+    mass beyond the float range is inf, with no warning.
+    """
+    with np.errstate(over="ignore"):
+        if t._nonzeros is None:
+            return np.array([_contract(row.reshape(1, -1), y[None], t.order - 1)[0, 0] for row in _off_rows(t)])
+        rows, trailing, terms = _off_entries(t)
+        for col in trailing.T[::-1]:  # the last index first, as _contract takes them
+            terms = terms * y[col]
+    return _sum_by(rows, terms, t.dim)
+
+
 def generated_matrix(t: DenseTensor) -> GeneratedMatrix:
-    """The tensor-generated matrix and its statistics, built from one pass over the tensor on the first call.
+    """The tensor-generated matrix and its statistics, built on the first call and kept on the tensor.
 
     Raises ``NonFiniteValue`` when r, S, P or Q has a sum beyond the float range.
     """
     if t._record is None:
         signed = diagonal(t)
-        try:
-            # the entries are finite, so a statistic is infinite only where a sum overflows
-            with np.errstate(over="raise"):
-                r, mass = _row_pass(t)
-                S = mass / (t.order - 1)
-                off = S.copy()
-                np.fill_diagonal(off, 0.0)
-                P, Q = off.sum(axis=1), off.sum(axis=0)
-        except FloatingPointError:
+        with np.errstate(over="ignore"):
+            r, mass = _row_pass(t)
+            S = mass / (t.order - 1)
+            off = S.copy()
+            np.fill_diagonal(off, 0.0)
+            P, Q = off.sum(axis=1), off.sum(axis=0)
+        # the entries are finite, so a statistic is infinite only where a sum overflows
+        if not all(np.isfinite(a).all() for a in (r, mass, P, Q)):
             raise NonFiniteValue("a row or column sum of the tensor's moduli is beyond the float range")
         edges = mass != 0.0  # a sum of moduli is 0 only when every term is
         np.fill_diagonal(edges, False)

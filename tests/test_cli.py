@@ -215,6 +215,47 @@ class TestCertify:
         assert (lines[2] == "scaling,none") == (rule == "IrreducibleDD")
 
 
+class TestFileTensorsReadTheNonzeros:
+    """certify and gen-matrix on a tensor file sum the loader's nonzeros and never read a row of the dense array."""
+
+    @pytest.fixture(autouse=True)
+    def dense_rows_refused(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("a row of the dense array was read")
+        monkeypatch.setattr(tz, "_off_rows", refuse)
+
+    @pytest.mark.parametrize("command", ["gen-matrix", "certify"])
+    @pytest.mark.parametrize("order,dim,entries", [
+        (4, 2, ENTRIES_42), (4, 4, ENTRIES_44), (2, 2, ENTRIES_HUGE_DIAGONAL), (2, 3, near_singular_cycle(3e-12)),
+    ], ids=["demo42", "demo44", "huge-diagonal", "generalized-h"])
+    def test_one_row_pass_from_the_nonzeros(self, capsys, monkeypatch, tmp_path, command, order, dim, entries):
+        p = write_tensor(tmp_path / "t.json", order, dim, entries)
+        calls = count_row_passes(monkeypatch)
+        code, out, err = run(capsys, command, "--input", p)
+        assert code == 0 and err == "" and len(calls) == 1
+        assert command == "gen-matrix" or "scaling,none" not in out  # the scaling was re-checked
+
+    @pytest.mark.parametrize("command", ["gen-matrix", "certify"])
+    def test_shuffled_file_prints_the_same_bytes(self, capsys, tmp_path, command):
+        rng = np.random.default_rng(18)
+        entries = {tuple(rng.integers(1, 6, 3).tolist()): float(rng.uniform(-1.0, 1.0)) for _ in range(60)}
+        entries.update({(i, i, i): 20.0 for i in range(1, 6)})
+        items = list(entries.items())
+        shuffled = dict(items[k] for k in rng.permutation(len(items)))
+        outs = [run(capsys, command, "--input", write_tensor(tmp_path / name, 3, 5, e))
+                for name, e in (("listed.json", entries), ("shuffled.json", shuffled))]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    @pytest.mark.parametrize("command", ["gen-matrix", "certify"])
+    def test_sparse_file_with_an_overflowing_row_is_a_data_error(self, capsys, tmp_path, command):
+        entries = {(i,) * 6: 1.0 for i in range(1, 9)}
+        entries.update({(3, 1, 2, 3, 4, 5): 1e308, (3, 8, 7, 6, 5, 4): 1e308})
+        p = write_tensor(tmp_path / "sparse.json", 6, 8, entries)
+        code, out, err = run(capsys, command, "--input", p)  # a RuntimeWarning fails the test
+        assert code == 65 and out == ""
+        assert err.splitlines() == ["tgmat: data error: a row or column sum of the tensor's moduli is beyond the float range"]
+
+
 class TestBounds:
     def test_demo_42_cassini(self, capsys, f42):
         code, out, _ = run(capsys, "bounds", "--input", f42, "--kind", "cassini")

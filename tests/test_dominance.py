@@ -264,6 +264,16 @@ class TestCertifyHTensor:
         assert cert.rule == rule and cert.scaling is not None
         assert len(passes) == 1 and len(solves) <= 1
 
+    @pytest.mark.parametrize("source", ["list", "array"])
+    def test_overflowing_recheck_drops_the_scaling(self, source):
+        # at y = (1, 1e5), row 1's off-diagonal mass 1e300 * 1e5 * 1e5 is beyond the float range
+        t = build_tensor(3, 2, {(1, 1, 1): 1.0, (1, 2, 2): 1e300, (2, 2, 2): 1.0})
+        if source == "array":
+            t = DenseTensor(t.entries)
+        cert = dom._attach_certificate(t, "GeneralizedH", None, np.array([1.0, 1e10]))  # a RuntimeWarning fails
+        assert cert.certified and cert.scaling is None and cert.residuals is None
+        assert cert.note == " (scaling dropped: slack not strict)"
+
     def test_weak_chain_reads_the_record(self, monkeypatch):
         # rows 2 and 3 dominate with equality, so the cascade ends in the walk test
         t = build_tensor(3, 3, {(1, 1, 1): 1.0, (2, 2, 2): 1.0, (2, 3, 3): 1.0,

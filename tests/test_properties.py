@@ -1,8 +1,10 @@
 """Property tests: real bounds scale with the tensor, the batched bounds match the
 one-region reference, bounds and certificates ignore index labels, the bounds hold
 every Newton eigenvalue, the H-matrix decision agrees with the Jacobi radius, the
-cascade's tensor-form rules and residuals agree with their definitions, and the
-symmetry class agrees with a brute-force reading of its definition."""
+cascade's tensor-form rules and residuals agree with their definitions, the
+symmetry class agrees with a brute-force reading of its definition, and the record
+summed from a loaded tensor's nonzeros agrees with the dense walk and ignores the
+order the entries were listed in."""
 
 import itertools
 import random as pyrandom
@@ -26,7 +28,7 @@ from tgmat.compare import gt
 from tgmat.dominance import certify_h_tensor, is_h_matrix, is_weakly_chained_dd, tensor_dd
 from tgmat.oracle import h_eigen_newton
 from tgmat.regions import KINDS, build_region, real_bounds
-from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix
+from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix, tensor_from_json
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -252,3 +254,54 @@ def test_symmetry_class_matches_the_index_set_reference(t, random, k):
     random.shuffle(perm)
     assert classify_symmetry(relabel(t, perm)) == verdict
     assert classify_symmetry(DenseTensor(np.ldexp(t.entries, k))) == verdict
+
+
+@st.composite
+def entry_lists(draw):
+    """A tensor JSON object of order 2-6 listing distinct tuples, among them explicit zeros
+    and -0.0, and sometimes symmetrized with one listed tuple per class; half of them list
+    every diagonal tuple with a value up to 1e5, so that the cascade certifies some."""
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, {2: 6, 3: 5, 4: 4}.get(m, 3)))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    entries = {tuple(int(k) + 1 for k in np.unravel_index(p, (n,) * m)): draw(value)
+               for p in sorted(draw(st.sets(st.integers(0, n ** m - 1), max_size=40)))}
+    if draw(st.booleans()):
+        entries.update({(i,) * m: draw(st.floats(1.0, 1e5)) for i in range(1, n + 1)})
+    symmetrize = draw(st.booleans())
+    if symmetrize:
+        classes = {}
+        for tup, v in entries.items():
+            classes.setdefault(tuple(sorted(tup)), (tup, v))
+        entries = dict(classes.values())
+    return {"order": m, "dim": n, "symmetrize": symmetrize,
+            "entries": [{"idx": list(tup), "val": v} for tup, v in entries.items()]}
+
+
+@PROPERTY_SETTINGS
+@given(entry_lists())
+def test_record_from_the_nonzeros_matches_the_dense_walk(obj):
+    t = tensor_from_json(obj)
+    G, D = generated_matrix(t), generated_matrix(DenseTensor(t.entries))
+    # k: a row's terms, each counted once per trailing position, and the n sums of P and Q
+    nz = np.argwhere(t.entries != 0.0)
+    nz = nz[(nz != nz[:, :1]).any(axis=1)]
+    tol = ((t.order - 1) * np.bincount(nz[:, 0], minlength=t.dim) + t.dim) * np.finfo(float).eps
+    for got, want, rel in ((G.r, D.r, tol), (G.S, D.S, tol[:, None]), (G.P, D.P, tol), (G.Q, D.Q, tol.max())):
+        assert np.all(np.abs(got - want) <= rel * np.abs(want))
+    assert np.all(np.abs(G.data - D.data) <= tol[:, None] * (G.S + np.diag(G.diag_abs)))
+    assert np.array_equal(G.edges, D.edges) and np.array_equal(G.diagonal, D.diagonal)
+
+
+@PROPERTY_SETTINGS
+@given(entry_lists(), st.randoms(use_true_random=False))
+def test_record_and_certificate_ignore_the_listing_order(obj, random):
+    t = tensor_from_json(obj)
+    u = tensor_from_json(dict(obj, entries=random.sample(obj["entries"], len(obj["entries"]))))
+    G, H = generated_matrix(t), generated_matrix(u)
+    for field in ("data", "diagonal", "S", "P", "Q", "r", "edges"):
+        assert getattr(G, field).tobytes() == getattr(H, field).tobytes(), field
+    got, want = certify_h_tensor(u), certify_h_tensor(t)
+    assert (got.verdict, got.rule, got.gamma, got.note) == (want.verdict, want.rule, want.gamma, want.note)
+    for a, b in ((got.scaling, want.scaling), (got.residuals, want.residuals)):
+        assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import tgmat.tensor as tz
 from conftest import (
     ENTRIES_42,
+    ENTRIES_44,
     GEN_44,
     brute_row_sum,
     brute_s_stat,
@@ -65,6 +67,43 @@ class TestBuild:
         for make in (lambda: build_tensor(30, 10, {}), lambda: unit_tensor(30, 10), lambda: zero_tensor(30, 10)):
             with pytest.raises(TgmatError, match="limit"):
                 make()
+
+
+class TestNonzeroList:
+    """A tensor built from entries keeps its nonzeros, sorted by position, and its record is summed from them."""
+
+    def test_list_is_sorted_without_zeros(self):
+        t = build_tensor(3, 2, [((2, 1, 1), 4.0), ((1, 2, 2), 0.0), ((1, 1, 2), -3.0), ((2, 2, 1), -0.0), ((1, 1, 1), 1.0)])
+        cols, vals = t._nonzeros
+        assert cols.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 0]] and vals.tolist() == [1.0, -3.0, 4.0]
+        for part in t._nonzeros:
+            with pytest.raises(ValueError):
+                part[0] = 0
+
+    def test_symmetrized_list_holds_every_permutation(self):
+        t = tensor_from_json({"order": 3, "dim": 3, "symmetrize": True, "entries": [
+            {"idx": [3, 1, 2], "val": 2.0}, {"idx": [1, 1, 2], "val": -1.0}, {"idx": [2, 2, 2], "val": 0.0}]})
+        cols, vals = t._nonzeros
+        pos = np.ravel_multi_index(tuple(cols.T), t.entries.shape)
+        assert np.array_equal(pos, np.flatnonzero(t.entries)) and np.array_equal(vals, t.entries.flat[pos])
+        assert len(pos) == 6 + 3
+
+    def test_array_made_tensors_have_no_list(self, t42):
+        made = [DenseTensor(t42.entries), unit_tensor(3, 2), zero_tensor(2, 2), scale_tensor(t42, np.ones(2))]
+        assert all(t._nonzeros is None for t in made)
+
+    def test_overflow_on_the_dense_walk_refused(self):
+        t = DenseTensor(build_tensor(3, 2, {(1, 1, 2): 1e308, (1, 2, 2): 1e308}).entries)
+        with pytest.raises(NonFiniteValue, match="float range"):
+            generated_matrix(t)  # a RuntimeWarning fails the test
+
+    @pytest.mark.parametrize("source", ["list", "array"])
+    def test_off_mass_at_a_vector(self, t44, source):
+        t = t44 if source == "list" else DenseTensor(t44.entries)
+        y = np.array([1.0, 2.0, 0.5, 3.0])
+        off = np.array([sum(abs(v) * y[j - 1] * y[k - 1] * y[l - 1] for (i, j, k, l), v in ENTRIES_44.items()
+                            if i == row and (i, j, k, l) != (i,) * 4) for row in range(1, 5)])
+        assert np.allclose(tz._off_mass(t, y), off, rtol=1e-14, atol=0.0)
 
 
 class TestStats:
