@@ -116,8 +116,10 @@ def _search_gamma(d, P, Q, kind: str) -> Optional[float]:
     flat = denom == 0.0
     if not strict(d[flat], Q[flat]).all():
         return None
-    lo = np.max(rhs[denom < 0] / denom[denom < 0], initial=0.0)
-    hi = np.min(rhs[denom > 0] / denom[denom > 0], initial=1.0)
+    # a bound beyond the float range is the infinity of its sign, which is that bound
+    with np.errstate(over="ignore"):
+        lo = np.max(rhs[denom < 0] / denom[denom < 0], initial=0.0)
+        hi = np.min(rhs[denom > 0] / denom[denom > 0], initial=1.0)
     return None if lo >= hi else 0.5 * (lo + hi)
 
 

@@ -56,23 +56,16 @@ def _dedupe(pairs, tol):
     return out
 
 
-def _branch_coeffs(t: tz.DenseTensor, row: int) -> np.ndarray:
-    """Coefficients (ascending in s) of (A (1, s)^{m-1})_row for n = 2."""
-    m = t.order
-    coeffs = np.zeros(m)
-    arr = t.entries[row]
-    for tup in np.ndindex(*([2] * (m - 1))):
-        coeffs[sum(tup)] += arr[tup]
-    return coeffs
-
-
 def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     """All real H-eigenpairs of a dimension-2 tensor.
 
     Substituting x = (1, s) eliminates the eigenvalue and leaves the single
     polynomial p(s) = (A(1,s)^{m-1})_2 - (A(1,s)^{m-1})_1 * s^{m-1}, whose
-    real roots are taken from the companion matrix and polished by Newton;
-    the branch x = (0, 1) is handled separately.  The polynomial is built
+    real roots are taken from the companion matrix and polished by Newton,
+    all roots together; the branch x = (0, 1), where A x^{m-1} is
+    (a_{12...2}, a_{22...2}), is read off the top coefficients.  Coefficient
+    k of (A(1,s)^{m-1})_i sums the entries a_{i...} with k trailing 2s, the 1
+    bits of the flat trailing index, in index order.  The polynomial is built
     from the entries scaled by the power of two 2^-e that brings the largest
     |a| into [1/2, 1) when it is 1 or more, which leaves its roots and every
     Newton ratio as they are and keeps its coefficients in range; each
@@ -86,44 +79,38 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     amax = float(np.max(np.abs(t.entries)))
     # scale down only, so 2^-e <= 1 and entries below 1 are used as given
     e = max(0, int(np.frexp(amax)[1]))
-    ts = tz.DenseTensor._wrap(np.ldexp(t.entries, -e))
     # max(1, max |a|) in the scaled units
     scale = float(np.ldexp(max(1.0, amax), -e))
-    c1 = _branch_coeffs(ts, 0)
-    c2 = _branch_coeffs(ts, 1)
+    bits = tz._bit_weights(m - 1)
+    c1, c2 = (tz._sum_by(bits, row, m) for row in np.ldexp(t.entries.reshape(2, -1), -e))
     # p = c2(s) - s^{m-1} c1(s), ascending coefficients
     p = np.zeros(2 * m - 1)
     p[: m] += c2
     p[m - 1 :] -= c1
     if np.max(np.abs(p)) <= 1e-14 * scale:
         # degenerate pencil: every direction solves; sample s in {0, 1, -1}
-        ss = [0.0, 1.0, -1.0]
+        s = np.array([0.0, 1.0, -1.0])
     else:
-        ss = []
-        dp = np.polyder(p[::-1])
-        roots = np.roots(np.trim_zeros(p[::-1], "f"))
-        for r in roots:
-            if abs(r.imag) > 1e-7 * max(1.0, abs(r)):
-                continue
-            s = float(r.real)
-            for _ in range(6):  # Newton polish on the real line
-                deriv = np.polyval(dp, s)
-                if deriv == 0.0:
-                    break
-                s -= np.polyval(p[::-1], s) / deriv
-            ss.append(s)
-    # (scaled eigenvalue, vector) candidates
-    cands = [(np.polyval(c1[::-1], s), np.array([1.0, s])) for s in ss]
-    # the x = (0, 1) branch is an eigenpair iff the first component vanishes
-    e2 = np.array([0.0, 1.0])
-    w = tz.contract(ts, e2)
-    if abs(w[0]) <= 1e-12 * scale:
-        cands.append((w[1], e2))
+        q = p[::-1]
+        dq = np.polyder(q)
+        roots = np.roots(np.trim_zeros(q, "f"))
+        s = roots.real[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))]
+        # Newton polish on the real line; a root stops for good where the derivative vanishes
+        live = np.arange(len(s))
+        for _ in range(6):
+            deriv = np.polyval(dq, s[live])
+            live, deriv = live[deriv != 0.0], deriv[deriv != 0.0]
+            s[live] -= np.polyval(q, s[live]) / deriv
+    # scaled eigenvalues and their vectors
+    lams, X = np.polyval(c1[::-1], s), np.column_stack([np.ones_like(s), s])
+    # A (0, 1)^{m-1} = (a_{12...2}, a_{22...2}), the top coefficients: an eigenpair iff the first vanishes
+    if abs(c1[-1]) <= 1e-12 * scale:
+        lams, X = np.append(lams, c2[-1]), np.vstack([X, [0.0, 1.0]])
     with np.errstate(over="ignore"):
-        lams = np.ldexp([v for v, _ in cands], e)
+        lams = np.ldexp(lams, e)
     if not np.isfinite(lams).all():
         raise NonFiniteValue("an H-eigenvalue is beyond the float range")
-    pairs = [_finish_pair(t, float(lam), x, amax) for lam, (_, x) in zip(lams, cands)]
+    pairs = [_finish_pair(t, float(lam), x, amax) for lam, x in zip(lams, X)]
     return _dedupe([pair for pair in pairs if pair], 1e-7)
 
 

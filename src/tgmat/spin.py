@@ -94,9 +94,9 @@ def dicke_isometry(m: int) -> np.ndarray:
     if not 1 <= m <= MAX_ORDER:
         raise OrderTooLarge(f"2j = {m} outside 1..{MAX_ORDER}")
     V = np.zeros((2 ** m, m + 1), dtype=complex)
-    for b in range(2 ** m):
-        k = bin(b).count("1")
-        V[b, k] = 1.0 / np.sqrt(comb(m, k))
+    norms = 1.0 / np.sqrt([comb(m, k) for k in range(m + 1)])
+    k = tz._bit_weights(m)
+    V[np.arange(2 ** m), k] = norms[k]
     V.flags.writeable = False
     return V
 

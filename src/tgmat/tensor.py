@@ -315,6 +315,14 @@ def _off_rows(t: DenseTensor):
         yield row
 
 
+def _bit_weights(k: int) -> np.ndarray:
+    """The number of 1 bits in each of 0 .. 2^k - 1, each doubling appending the counts plus the new top bit."""
+    w = np.zeros(1, dtype=np.intp)
+    for _ in range(k):
+        w = np.concatenate([w, w + 1])
+    return w
+
+
 def _sum_by(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
     """The float sums of ``weights`` grouped by ``keys`` in 0..size-1, in the order given; a sum beyond the float range is inf."""
     return np.bincount(keys, weights=weights, minlength=size).astype(float, copy=False)  # an empty bincount is of integers

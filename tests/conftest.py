@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFiniteValue, TgmatError
+from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFiniteValue, TgmatError, WrongDimension
+from tgmat.oracle import _dedupe, _finish_pair
 from tgmat.regions import RealBounds
-from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor, generated_matrix
+from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor, contract, generated_matrix
 
 # order 4, dimension 2; generated matrix [[3, 3], [3, 4]]
 ENTRIES_42 = {
@@ -38,6 +39,9 @@ ENTRIES_STYPE_CANCEL = {
 # order 2, dimension 2; SDD with diagonal moduli near the largest float, so twice
 # |a_ii| y_i^(m-1) overflows where |a_ii| y_i^(m-1) less the off-diagonal mass does not
 ENTRIES_HUGE_DIAGONAL = {(1, 1): 1e308, (1, 2): 1e160, (2, 1): 1e160, (2, 2): 1e308}
+
+# order 22, dimension 2; four entries, loaded as a 2^22-entry (32 MB) dense array
+ENTRIES_ORDER_22 = {(1,) * 22: 2.0, (2,) * 22: 3.0, (1,) + (2,) * 21: 0.5, (2,) + (1,) * 21: 0.25}
 
 # order 8, dimension 2; |a_1...1| = r_1 = 5e-324 and s_11 rounds up to r_1, so row 1 is
 # degenerate, dominant with equality and has an edge to the strict row 2 (s_12 underflows)
@@ -255,3 +259,54 @@ def reference_real_bounds(region):
     err = 3.0 * np.finfo(float).eps * size + np.minimum(size, 2.0 ** -1072)
     lower, mirrored = np.min(0.5 * ((u + v) - h) - err, axis=1)
     return RealBounds(float(lower), -float(mirrored))
+
+
+def reference_exact_2d(t):
+    """The exact dimension-2 oracle one tuple and one root at a time.
+
+    The body ``h_eigen_exact_2d`` had before it summed its coefficients with
+    one bincount per row: each coefficient accumulated tuple by tuple in
+    index order, each real root polished on its own, and the x = (0, 1)
+    branch contracted from a scaled copy of the tensor.  The array version
+    must match it bit for bit.
+    """
+    if t.dim != 2:
+        raise WrongDimension("exact oracle is limited to dimension 2")
+    m = t.order
+    amax = float(np.max(np.abs(t.entries)))
+    e = max(0, int(np.frexp(amax)[1]))
+    ts = DenseTensor._wrap(np.ldexp(t.entries, -e))
+    scale = float(np.ldexp(max(1.0, amax), -e))
+    c1, c2 = np.zeros(m), np.zeros(m)
+    for c, arr in ((c1, ts.entries[0]), (c2, ts.entries[1])):
+        for tup in np.ndindex(*([2] * (m - 1))):
+            c[sum(tup)] += arr[tup]
+    p = np.zeros(2 * m - 1)
+    p[: m] += c2
+    p[m - 1 :] -= c1
+    if np.max(np.abs(p)) <= 1e-14 * scale:
+        ss = [0.0, 1.0, -1.0]
+    else:
+        ss = []
+        dp = np.polyder(p[::-1])
+        for r in np.roots(np.trim_zeros(p[::-1], "f")):
+            if abs(r.imag) > 1e-7 * max(1.0, abs(r)):
+                continue
+            s = float(r.real)
+            for _ in range(6):
+                deriv = np.polyval(dp, s)
+                if deriv == 0.0:
+                    break
+                s -= np.polyval(p[::-1], s) / deriv
+            ss.append(s)
+    cands = [(np.polyval(c1[::-1], s), np.array([1.0, s])) for s in ss]
+    e2 = np.array([0.0, 1.0])
+    w = contract(ts, e2)
+    if abs(w[0]) <= 1e-12 * scale:
+        cands.append((w[1], e2))
+    with np.errstate(over="ignore"):
+        lams = np.ldexp([v for v, _ in cands], e)
+    if not np.isfinite(lams).all():
+        raise NonFiniteValue("an H-eigenvalue is beyond the float range")
+    pairs = [_finish_pair(t, float(lam), x, amax) for lam, (_, x) in zip(lams, cands)]
+    return _dedupe([pair for pair in pairs if pair], 1e-7)

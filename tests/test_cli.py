@@ -17,6 +17,7 @@ from conftest import (
     ENTRIES_42,
     ENTRIES_44,
     ENTRIES_HUGE_DIAGONAL,
+    ENTRIES_ORDER_22,
     ENTRIES_STYPE_CANCEL,
     ENTRIES_SUBNORMAL_CHAIN,
     count_row_passes,
@@ -190,6 +191,13 @@ class TestCertify:
         code, out, err = run(capsys, "certify", "--input", p)  # a RuntimeWarning fails the test
         assert code == (0 if verdict == "certified_H" else 2) and err == ""
         assert out.startswith(f"verdict,{verdict}\n")
+
+    def test_subnormal_gap_bounds_gamma_without_warning(self, capsys, tmp_path):
+        # P_2 - Q_2 = -1e-320 is subnormal, so the gamma search's bound (d_2 - Q_2) / (P_2 - Q_2) overflows to -inf
+        p = write_tensor(tmp_path / "gap.json", 2, 2, {(1, 1): 1e-313, (1, 2): 1e-320, (2, 2): 1.0})
+        code, out, err = run(capsys, "certify", "--input", p)  # a RuntimeWarning fails the test
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == ["verdict,certified_H", "rule,WeaklyChainedDD", "scaling,none"]
 
     def test_residuals_of_a_diagonal_near_the_largest_float(self, capsys, tmp_path):
         p = write_tensor(tmp_path / "huge.json", 2, 2, ENTRIES_HUGE_DIAGONAL)
@@ -418,6 +426,14 @@ class TestOracle:
         p = write_tensor(tmp_path / "tiny.json", 2, 2, {(1, 1): 1e-309, (2, 2): 1e-309})
         code, out, err = run(capsys, "oracle", "--input", p)
         assert (code, out, err) == (0, "lambda,residual\n0.000000,0.000000e+00\n", "")
+
+    def test_exact_path_at_order_22(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "order22.json", 22, 2, ENTRIES_ORDER_22)
+        code, out, err = run(capsys, "oracle", "--input", p)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "lambda,residual"
+        assert [line.split(",")[0] for line in lines[1:]] == ["1.887628", "3.112372"]
 
     def test_newton_path(self, capsys, tmp_path):
         p = write_tensor(tmp_path / "diag3.json", 3, 3,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_sparse_tensor
+from conftest import ENTRIES_ORDER_22, random_sparse_tensor
 from tgmat import oracle
 from tgmat.dominance import _cw_bracket
 from tgmat.errors import NonFiniteValue, WrongDimension
@@ -178,6 +178,14 @@ class TestExact2D:
 
     def test_nan_residual_is_not_kept(self, t42):
         assert oracle._finish_pair(t42, float("nan"), np.array([1.0, 0.5]), 1.0) is None
+
+    def test_order_22_from_four_entries(self):
+        # p(s) = 0.25 + u - 0.5 u^2 with u = s^21, and lambda = 2 + 0.5 u = 2.5 -+ sqrt(1.5) / 2
+        t = build_tensor(22, 2, ENTRIES_ORDER_22)
+        pairs = h_eigen_exact_2d(t)
+        assert [round(p.value, 6) for p in pairs] == [1.887628, 3.112372]
+        for p in pairs:
+            assert within_relative_tolerance(t, p)
 
     def test_matrix_case_matches_dense_solver(self):
         rng = np.random.default_rng(31)

@@ -2,9 +2,10 @@
 one-region reference, bounds and certificates ignore index labels, the bounds hold
 every Newton eigenvalue, the H-matrix decision agrees with the Jacobi radius, the
 cascade's tensor-form rules and residuals agree with their definitions, the
-symmetry class agrees with a brute-force reading of its definition, and the record
+symmetry class agrees with a brute-force reading of its definition, the record
 summed from a loaded tensor's nonzeros agrees with the dense walk and ignores the
-order the entries were listed in."""
+order the entries were listed in, and the exact dimension-2 oracle matches its
+tuple-by-tuple reference bit for bit."""
 
 import itertools
 import random as pyrandom
@@ -22,11 +23,13 @@ from conftest import (
     near_boundary_z_tensor,
     near_singular_cycle,
     random_sparse_tensor,
+    reference_exact_2d,
     reference_real_bounds,
 )
 from tgmat.compare import gt
 from tgmat.dominance import certify_h_tensor, is_h_matrix, is_weakly_chained_dd, tensor_dd
-from tgmat.oracle import h_eigen_newton
+from tgmat.errors import TgmatError
+from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton
 from tgmat.regions import KINDS, build_region, real_bounds
 from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix, tensor_from_json
 
@@ -305,3 +308,45 @@ def test_record_and_certificate_ignore_the_listing_order(obj, random):
     assert (got.verdict, got.rule, got.gamma, got.note) == (want.verdict, want.rule, want.gamma, want.note)
     for a, b in ((got.scaling, want.scaling), (got.residuals, want.residuals)):
         assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
+
+
+@st.composite
+def dim2_tensors(draw):
+    """A dimension-2 tensor of order 2-10 at one of seven scales, 1e-300 to 1e300: entries
+    U(-1, 1) at density 0.3, 0.6 or 1, a fifth of them rounded to integers, sometimes
+    with a_{12...2} = 0 or a_{22...2} = -0.0, and sometimes a degenerate pencil (lambda
+    on the diagonal, plus v and -v at two trailing tuples with one 2 in each row)."""
+    m = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.integers(0, 9)) == 0:
+        rows = np.zeros((2, 2 ** (m - 1)))
+        rows[0, 0] = rows[1, -1] = rng.uniform(-2, 2)
+        if m >= 3:
+            v = rng.uniform(-1, 1, 2)
+            rows[:, 1], rows[:, 2] = v, -v
+    else:
+        rows = rng.uniform(-1, 1, (2, 2 ** (m - 1))) * (rng.random((2, 2 ** (m - 1))) < draw(st.sampled_from([0.3, 0.6, 1.0])))
+        if draw(st.integers(0, 4)) == 0:
+            rows = np.round(4 * rows)
+        if draw(st.integers(0, 4)) == 0:
+            rows[0, -1] = 0.0
+        if draw(st.integers(0, 4)) == 0:
+            rows[1, -1] = -0.0
+    scale = draw(st.sampled_from([1.0, 2.0 ** -30, 1e-300, 1e-20, 1e8, 2.0 ** 40, 1e300]))
+    return DenseTensor((scale * rows).reshape((2,) * m))
+
+
+def exact_2d_outcome(oracle, t):
+    """The pairs' values, residuals and vectors as bytes, or the error raised."""
+    try:
+        pairs = oracle(t)
+    except TgmatError as exc:
+        return type(exc), str(exc)
+    return [(np.float64(p.value).tobytes(), np.float64(p.residual).tobytes(), p.vector.tobytes()) for p in pairs]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dim2_tensors())
+@example(build_tensor(4, 2, ENTRIES_42))
+def test_exact_2d_matches_the_tuple_by_tuple_reference(t):
+    assert exact_2d_outcome(h_eigen_exact_2d, t) == exact_2d_outcome(reference_exact_2d, t)

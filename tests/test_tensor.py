@@ -452,6 +452,11 @@ class TestJson:
             tensor_from_json({"order": 2})
 
 
+@pytest.mark.parametrize("k", range(13))
+def test_bit_weights_count_the_one_bits(k):
+    assert tz._bit_weights(k).tolist() == [bin(b).count("1") for b in range(2 ** k)]
+
+
 def test_zero_tensor_stats():
     t = zero_tensor(3, 3)
     assert np.all(generated_matrix(t).r == 0.0)
