@@ -65,53 +65,55 @@ def h_eigen_exact_2d(t: tz.DenseTensor) -> list[EigenPair]:
     all roots together; the branch x = (0, 1), where A x^{m-1} is
     (a_{12...2}, a_{22...2}), is read off the top coefficients.  Coefficient
     k of (A(1,s)^{m-1})_i sums the entries a_{i...} with k trailing 2s, the 1
-    bits of the flat trailing index, in index order.  The polynomial is built
-    from the entries scaled by the power of two 2^-e that brings the largest
-    |a| into [1/2, 1) when it is 1 or more, which leaves its roots and every
-    Newton ratio as they are and keeps its coefficients in range; each
-    eigenvalue is scaled back by 2^e, and one beyond the float range raises
-    NonFiniteValue.  Smaller entries are not scaled up (e = 0).  Eigenvalues
-    are deduplicated within 1e-7.
+    bits of the flat trailing index, in index order.  All of it runs in the
+    unit 2^e that brings the largest |a| into [1/2, 1) (e = 0 for the zero
+    tensor): the polynomial is built from the entries times 2^-e, its
+    degenerate-pencil and (0, 1) tests are 1e-14 and 1e-12, and eigenvalues
+    within 1e-7 are merged.  So on 2^k A it returns 2^k times the values
+    and residuals, bit for bit, with the same vectors.  A companion matrix
+    or an eigenvalue beyond the float range raises NonFiniteValue.
     """
     if t.dim != 2:
         raise WrongDimension("exact oracle is limited to dimension 2")
     m = t.order
     amax = float(np.max(np.abs(t.entries)))
-    # scale down only, so 2^-e <= 1 and entries below 1 are used as given
-    e = max(0, int(np.frexp(amax)[1]))
-    # max(1, max |a|) in the scaled units
-    scale = float(np.ldexp(max(1.0, amax), -e))
+    e = int(np.frexp(amax)[1])
     bits = tz._bit_weights(m - 1)
     c1, c2 = (tz._sum_by(bits, row, m) for row in np.ldexp(t.entries.reshape(2, -1), -e))
     # p = c2(s) - s^{m-1} c1(s), ascending coefficients
     p = np.zeros(2 * m - 1)
     p[: m] += c2
     p[m - 1 :] -= c1
-    if np.max(np.abs(p)) <= 1e-14 * scale:
+    if np.max(np.abs(p)) <= 1e-14:
         # degenerate pencil: every direction solves; sample s in {0, 1, -1}
         s = np.array([0.0, 1.0, -1.0])
     else:
         q = p[::-1]
         dq = np.polyder(q)
-        roots = np.roots(np.trim_zeros(q, "f"))
+        top = np.trim_zeros(q, "f")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(top[1:] / top[0]).all():
+                raise NonFiniteValue("the companion matrix is beyond the float range")
+        roots = np.roots(top)
         s = roots.real[np.abs(roots.imag) <= 1e-7 * np.maximum(1.0, np.abs(roots))]
         # Newton polish on the real line; a root stops for good where the derivative vanishes
         live = np.arange(len(s))
-        for _ in range(6):
-            deriv = np.polyval(dq, s[live])
-            live, deriv = live[deriv != 0.0], deriv[deriv != 0.0]
-            s[live] -= np.polyval(q, s[live]) / deriv
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(6):
+                deriv = np.polyval(dq, s[live])
+                live, deriv = live[deriv != 0.0], deriv[deriv != 0.0]
+                s[live] -= np.polyval(q, s[live]) / deriv
     # scaled eigenvalues and their vectors
     lams, X = np.polyval(c1[::-1], s), np.column_stack([np.ones_like(s), s])
     # A (0, 1)^{m-1} = (a_{12...2}, a_{22...2}), the top coefficients: an eigenpair iff the first vanishes
-    if abs(c1[-1]) <= 1e-12 * scale:
+    if abs(c1[-1]) <= 1e-12:
         lams, X = np.append(lams, c2[-1]), np.vstack([X, [0.0, 1.0]])
     with np.errstate(over="ignore"):
         lams = np.ldexp(lams, e)
     if not np.isfinite(lams).all():
         raise NonFiniteValue("an H-eigenvalue is beyond the float range")
     pairs = [_finish_pair(t, float(lam), x, amax) for lam, x in zip(lams, X)]
-    return _dedupe([pair for pair in pairs if pair], 1e-7)
+    return _dedupe([pair for pair in pairs if pair], np.ldexp(1e-7, e))
 
 
 # Newton caps shared by every start: 80 steps, the full step then the
@@ -165,7 +167,9 @@ def _newton_steps(A, B, m, X, L, F):
     try:
         return np.linalg.solve(J, -F[:, :, None])[:, :, 0], np.ones(k, dtype=bool)
     except np.linalg.LinAlgError:
-        ok = np.linalg.slogdet(J)[0] != 0.0
+        # only the sign is read, so a zero determinant's log of 0 is no fault
+        with np.errstate(divide="ignore"):
+            ok = np.linalg.slogdet(J)[0] != 0.0
         step = np.zeros((k, n + 1))
         step[ok] = np.linalg.solve(J[ok], -F[ok, :, None])[:, :, 0]
         return step, ok

@@ -26,6 +26,7 @@ from . import tensor as tz
 from .errors import (
     BadAngle,
     BadIndex,
+    NonFiniteValue,
     NonHermitian,
     OrderTooLarge,
     TgmatError,
@@ -74,10 +75,14 @@ def spin_state(m: int, rho) -> SpinState:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (m + 1, m + 1):
         raise TgmatError(f"rho must be {(m + 1, m + 1)}, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+    if not np.isfinite(rho).all():
+        raise NonFiniteValue("rho has an entry that is not finite")
+    if not tz._within(rho, rho.conj().T, 1e-12):
         raise NonHermitian("rho is not Hermitian to 1e-12")
-    if abs(np.trace(rho) - 1.0) > 1e-12:
-        raise TraceNotOne(f"trace is {np.trace(rho):.6g}, expected 1")
+    with np.errstate(over="ignore"):
+        trace = np.trace(rho)
+    if not tz._within(trace, 1.0, 1e-12):
+        raise TraceNotOne(f"trace is {trace:.6g}, expected 1")
     out = rho.copy()
     out.flags.writeable = False
     return SpinState(m, out)
@@ -185,10 +190,14 @@ def classical_mixture(m: int, weights, directions) -> SpinState:
     directions = list(directions)
     if len(weights) != len(directions) or len(weights) == 0:
         raise WeightMismatch("weights and directions must have equal nonzero length")
+    if not np.isfinite(weights).all():
+        raise WeightMismatch("weights must be finite")
     if np.any(weights <= 0.0):
         raise WeightMismatch("weights must be positive")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise WeightMismatch(f"weights sum to {weights.sum():.6g}, expected 1")
+    with np.errstate(over="ignore"):
+        total = weights.sum()
+    if not tz._within(total, 1.0, 1e-12):
+        raise WeightMismatch(f"weights sum to {total:.6g}, expected 1")
     rho = np.zeros((m + 1, m + 1), dtype=complex)
     for w, (theta, phi) in zip(weights, directions):
         rho += w * coherent_state(m, theta, phi).rho

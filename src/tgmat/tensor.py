@@ -423,10 +423,8 @@ def _sym_tolerance(arr: np.ndarray) -> float:
 
 def _within(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
     """Whether A and B differ by at most tol everywhere (exactly at tol 0); an overflowing difference is not."""
-    if tol == 0.0:
-        return np.array_equal(A, B)
     with np.errstate(over="ignore"):
-        return bool(np.max(np.abs(A - B)) <= tol)
+        return bool(np.abs(A - B).max() <= tol)
 
 
 def _symmetric(A: np.ndarray, tol: float) -> bool:

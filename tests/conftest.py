@@ -267,16 +267,15 @@ def reference_exact_2d(t):
     The body ``h_eigen_exact_2d`` had before it summed its coefficients with
     one bincount per row: each coefficient accumulated tuple by tuple in
     index order, each real root polished on its own, and the x = (0, 1)
-    branch contracted from a scaled copy of the tensor.  The array version
-    must match it bit for bit.
+    branch contracted from a scaled copy of the tensor, all in the unit 2^e
+    of the largest |a|.  The array version must match it bit for bit.
     """
     if t.dim != 2:
         raise WrongDimension("exact oracle is limited to dimension 2")
     m = t.order
     amax = float(np.max(np.abs(t.entries)))
-    e = max(0, int(np.frexp(amax)[1]))
+    e = int(np.frexp(amax)[1])
     ts = DenseTensor._wrap(np.ldexp(t.entries, -e))
-    scale = float(np.ldexp(max(1.0, amax), -e))
     c1, c2 = np.zeros(m), np.zeros(m)
     for c, arr in ((c1, ts.entries[0]), (c2, ts.entries[1])):
         for tup in np.ndindex(*([2] * (m - 1))):
@@ -284,7 +283,7 @@ def reference_exact_2d(t):
     p = np.zeros(2 * m - 1)
     p[: m] += c2
     p[m - 1 :] -= c1
-    if np.max(np.abs(p)) <= 1e-14 * scale:
+    if np.max(np.abs(p)) <= 1e-14:
         ss = [0.0, 1.0, -1.0]
     else:
         ss = []
@@ -302,11 +301,11 @@ def reference_exact_2d(t):
     cands = [(np.polyval(c1[::-1], s), np.array([1.0, s])) for s in ss]
     e2 = np.array([0.0, 1.0])
     w = contract(ts, e2)
-    if abs(w[0]) <= 1e-12 * scale:
+    if abs(w[0]) <= 1e-12:
         cands.append((w[1], e2))
     with np.errstate(over="ignore"):
         lams = np.ldexp([v for v, _ in cands], e)
     if not np.isfinite(lams).all():
         raise NonFiniteValue("an H-eigenvalue is beyond the float range")
     pairs = [_finish_pair(t, float(lam), x, amax) for lam, (_, x) in zip(lams, cands)]
-    return _dedupe([pair for pair in pairs if pair], 1e-7)
+    return _dedupe([pair for pair in pairs if pair], np.ldexp(1e-7, e))

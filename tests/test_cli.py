@@ -435,6 +435,20 @@ class TestOracle:
         assert lines[0] == "lambda,residual"
         assert [line.split(",")[0] for line in lines[1:]] == ["1.887628", "3.112372"]
 
+    @pytest.mark.parametrize("order, dim, entries, code, out, err", [
+        # the companion matrix's leading coefficient is subnormal, so its other ratios overflow
+        (4, 2, {(1, 1, 2, 1): 5e-321, (2, 2, 1, 1): 3, (2, 2, 2, 2): 1e-320}, 65, "",
+         "tgmat: data error: the companion matrix is beyond the float range\n"),
+        # the polish of the real roots near 1e153 overflows; the call ends in one data error, with no warning
+        (4, 2, {(1, 1, 2, 2): 3, (1, 2, 1, 1): 1e155, (2, 1, 1, 2): -1e308, (2, 2, 2, 2): 1e308}, 65, "",
+         "tgmat: data error: an H-eigenvalue is beyond the float range\n"),
+        # singular Newton Jacobians at subnormal entries, found by the slogdet fallback
+        (2, 3, {(1, 1): -5e-324, (2, 2): 0, (3, 3): -5e-324}, 0, "lambda,residual\n-0.000000,0.000000e+00\n", ""),
+    ])
+    def test_extreme_entries_without_warning(self, capsys, tmp_path, order, dim, entries, code, out, err):
+        p = write_tensor(tmp_path / "t.json", order, dim, entries)
+        assert run(capsys, "oracle", "--input", p) == (code, out, err)  # a RuntimeWarning fails the test
+
     def test_newton_path(self, capsys, tmp_path):
         p = write_tensor(tmp_path / "diag3.json", 3, 3,
                          {(1, 1, 1): 2.0, (2, 2, 2): 5.0, (3, 3, 3): 3.0})
@@ -554,6 +568,21 @@ class TestSpinCommands:
         code, out, _ = run(capsys, "spin-certify", "--input", str(p))
         assert code == 2
         assert "NO CONCLUSION" in out
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"m": 1, "rho_re": [[NaN, 0], [0, NaN]]}', "rho has an entry that is not finite"),
+        ('{"m": 2, "rho_re": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]}', "rho has an entry that is not finite"),
+        ('{"m": 2, "components": [{"w": NaN, "theta": 0.1, "phi": 0.2}]}', "weights must be finite"),
+        ('{"m": 1, "rho_re": [[0.5, 1e308], [-1e308, 0.5]]}', "rho is not Hermitian to 1e-12"),
+        ('{"m": 1, "rho_re": [[1e308, 0], [0, 1e308]]}', "trace is inf+0j, expected 1"),
+        ('{"m": 2, "components": [{"w": 1e308, "theta": 0.1, "phi": 0.2}, {"w": 1e308, "theta": 0.3, "phi": 0.2}]}',
+         "weights sum to inf, expected 1"),
+    ])
+    def test_non_finite_or_overflowing_state_is_data_error(self, capsys, tmp_path, text, message):
+        p = tmp_path / "state.json"
+        p.write_text(text)
+        # a RuntimeWarning fails the test
+        assert run(capsys, "spin-certify", "--input", str(p)) == (65, "", f"tgmat: data error: {message}\n")
 
     def test_spin_roundtrip(self, capsys, tmp_path):
         p = tmp_path / "state.json"

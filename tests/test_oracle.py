@@ -170,11 +170,16 @@ class TestExact2D:
             h_eigen_exact_2d(DenseTensor(np.full((2, 2), 1e308)))
 
     def test_tiny_tensor_keeps_no_non_eigenpair(self, t42):
-        # at 1e-300 every pencil coefficient is below the degenerate-pencil test, whose
-        # sampled directions have residuals far above the tensor's own scale
+        # every pair returned at 1e-300 must be an eigenpair relative to the tensor's own scale
         t = DenseTensor(t42.entries * 1e-300)
         for p in h_eigen_exact_2d(t):
             assert within_relative_tolerance(t, p)
+
+    @pytest.mark.parametrize("factor", [2.0 ** -30, 1e-20, 1e-300])
+    def test_scaled_demo_keeps_both_eigenvalues(self, t42, factor):
+        # the pencil test, the (0, 1) test and the dedupe are taken in the unit of max|a|
+        pairs = h_eigen_exact_2d(DenseTensor(t42.entries * factor))
+        assert [round(p.value / factor, 6) for p in pairs] == [0.472481, 12.738918]
 
     def test_nan_residual_is_not_kept(self, t42):
         assert oracle._finish_pair(t42, float("nan"), np.array([1.0, 0.5]), 1.0) is None

@@ -5,13 +5,13 @@ cascade's tensor-form rules and residuals agree with their definitions, the
 symmetry class agrees with a brute-force reading of its definition, the record
 summed from a loaded tensor's nonzeros agrees with the dense walk and ignores the
 order the entries were listed in, and the exact dimension-2 oracle matches its
-tuple-by-tuple reference bit for bit."""
+tuple-by-tuple reference bit for bit and scales exactly with a power of two."""
 
 import itertools
 import random as pyrandom
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -350,3 +350,20 @@ def exact_2d_outcome(oracle, t):
 @example(build_tensor(4, 2, ENTRIES_42))
 def test_exact_2d_matches_the_tuple_by_tuple_reference(t):
     assert exact_2d_outcome(h_eigen_exact_2d, t) == exact_2d_outcome(reference_exact_2d, t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dim2_tensors(), st.sampled_from([-200, -30, -1, 1, 40, 200]))
+@example(build_tensor(4, 2, ENTRIES_42), -30)
+def test_exact_2d_scales_with_a_power_of_two(t, k):
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(t.entries, k)
+    # the scaling must be exact on the entries, and both largest |a| at least 2^-900, so
+    # that no residual's rounding falls into the subnormal range
+    assume(np.isfinite(scaled).all() and np.array_equal(np.ldexp(scaled, -k), t.entries))
+    assume(min(np.max(np.abs(t.entries)), np.max(np.abs(scaled))) >= 2.0 ** -900)
+    want = exact_2d_outcome(h_eigen_exact_2d, t)
+    if isinstance(want, list):
+        want = [(np.ldexp(np.frombuffer(v), k).tobytes(), np.ldexp(np.frombuffer(r), k).tobytes(), x)
+                for v, r, x in want]
+    assert exact_2d_outcome(h_eigen_exact_2d, DenseTensor(scaled)) == want
