@@ -219,9 +219,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="tgmat", description="Tensor-generated matrix toolkit")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON file")
+    def common(p):
+        p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", default=None, help="write output to this file instead of stdout")
 
     p = subs.add_parser("gen-matrix", help="print the generated matrix and row statistics")

@@ -58,6 +58,8 @@ PAULI = np.array([
     [[0, -1j], [1j, 0]],
     [[1, 0], [0, -1]],
 ], dtype=complex)
+# the Pauli table by site: _SITE[mu, 2 r + c] = sigma_mu[r, c]
+_SITE = PAULI.reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -117,26 +119,38 @@ def s_operator(mus) -> np.ndarray:
     return V.conj().T @ K @ V
 
 
-def _lifted(state: SpinState) -> np.ndarray:
-    V = dicke_isometry(state.m)
-    return V @ state.rho @ V.conj().T
+def _each_site(T: np.ndarray, M: np.ndarray, m: int) -> np.ndarray:
+    """Apply the 4 x 4 matrix M to each of the m length-4 axes of T.
+
+    Each pass maps the first axis and moves it last, so after m passes the
+    axes are back in their order.
+    """
+    for _ in range(m):
+        T = T.reshape(4, -1).T @ M
+    return T.reshape((4,) * m)
 
 
 def coefficient_tensor(state: SpinState) -> tz.DenseTensor:
-    """Order-m, dimension-4 tensor of traces against the Pauli string basis.
+    """Order-m, dimension-4 tensor of traces A_mu = tr(rho S_mu).
 
-    The result is checked to be real, permutation symmetric, and to carry
-    the state trace at the all-zeros tuple before it is returned.
+    The state is lifted to the 2^m x 2^m matrix L = V rho V^H, whose axes
+    are ordered (r1, c1, ..., rm, cm); the conjugate Pauli table then maps
+    each site's pair (r, c) to its label, since tr(L sigma) sums
+    L[r, c] conj(sigma[r, c]) for Hermitian sigma.  A tensor beyond the
+    float range raises NonFiniteValue.  The result is checked to be real,
+    permutation symmetric, and to carry the state trace at the all-zeros
+    tuple before it is returned.
     """
     m = state.m
     if m < 2:
         raise OrderTooLarge("coefficient tensor needs 2j >= 2")
-    T = _lifted(state).reshape((2,) * (2 * m))
-    # contract one site at a time: S4[mu, b, a] against (a_k, b_k)
-    for p in range(m):
-        r = m - p  # sites not yet absorbed
-        T = np.tensordot(PAULI, T, axes=([2, 1], [p, p + r]))
-    A = np.transpose(T, tuple(range(m - 1, -1, -1)))
+    V = dicke_isometry(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        L = (V @ state.rho @ V.conj().T).reshape((2,) * (2 * m))
+        # order the axes (r1, c1, ..., rm, cm), so each site's pair (r, c) is one axis
+        A = _each_site(L.transpose(np.arange(2 * m).reshape(2, m).T.ravel()), _SITE.conj().T, m)
+    if not np.isfinite(A).all():
+        raise NonFiniteValue("the coefficient tensor is beyond the float range")
     if np.max(np.abs(A.imag)) > 1e-10:
         raise TgmatError("coefficient tensor has a non-real entry; invalid state")
     A = np.ascontiguousarray(A.real)
@@ -148,18 +162,25 @@ def coefficient_tensor(state: SpinState) -> tz.DenseTensor:
 
 
 def reconstruct_state(coeff: tz.DenseTensor) -> SpinState:
-    """Invert the coefficient map: rho = 2^{-m} sum_mu A_mu S_mu."""
+    """Invert the coefficient map: rho = 2^{-m} sum_mu A_mu S_mu.
+
+    The Pauli table maps each label to its site's pair (r, c); the pairs
+    are regrouped into the rows and columns of the 2^m x 2^m sum, which V
+    compresses to the Dicke basis.  An order above MAX_ORDER raises
+    OrderTooLarge before any work, and a state beyond the float range
+    raises NonFiniteValue.
+    """
     if coeff.dim != 4:
         raise TgmatError("coefficient tensor must have dimension 4")
     m = coeff.order
-    T = np.asarray(coeff.entries, dtype=complex)
-    for _ in range(m):
-        T = np.tensordot(T, PAULI, axes=([0], [0]))
-    # axes are now (b1, a1, ..., bm, am); regroup rows and columns
-    order = tuple(range(0, 2 * m, 2)) + tuple(range(1, 2 * m, 2))
-    K = np.transpose(T, order).reshape(2 ** m, 2 ** m)
     V = dicke_isometry(m)
-    rho = V.conj().T @ K @ V / 2 ** m
+    with np.errstate(over="ignore", invalid="ignore"):
+        T = _each_site(coeff.entries, _SITE, m).reshape((2,) * (2 * m))
+        # the axes are (r1, c1, ..., rm, cm); regroup them into rows and columns
+        K = T.transpose(np.arange(2 * m).reshape(m, 2).T.ravel()).reshape(2 ** m, 2 ** m)
+        rho = V.conj().T @ K @ V / 2 ** m
+    if not np.isfinite(rho).all():
+        raise NonFiniteValue("the reconstructed state is beyond the float range")
     return spin_state(m, rho)
 
 

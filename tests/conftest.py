@@ -8,6 +8,7 @@ import pytest
 from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFiniteValue, TgmatError, WrongDimension
 from tgmat.oracle import _dedupe, _finish_pair
 from tgmat.regions import RealBounds
+from tgmat.spin import PAULI, dicke_isometry, spin_state
 from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor, contract, generated_matrix
 
 # order 4, dimension 2; generated matrix [[3, 3], [3, 4]]
@@ -309,3 +310,32 @@ def reference_exact_2d(t):
         raise NonFiniteValue("an H-eigenvalue is beyond the float range")
     pairs = [_finish_pair(t, float(lam), x, amax) for lam, (_, x) in zip(lams, cands)]
     return _dedupe([pair for pair in pairs if pair], np.ldexp(1e-7, e))
+
+
+def reference_coefficient_tensor(state):
+    """The coefficient map as one tensordot per site.
+
+    The body ``coefficient_tensor`` had before it applied one 4 x 4 Pauli
+    table site by site: the lift V rho V^H, then each site's (row, column)
+    pair contracted against sigma_mu[c, r], with every axis reversed at the
+    end.  The table version must match its real part bit for bit.
+    """
+    m = state.m
+    V = dicke_isometry(m)
+    T = (V @ state.rho @ V.conj().T).reshape((2,) * (2 * m))
+    for p in range(m):
+        r = m - p  # sites not yet absorbed
+        T = np.tensordot(PAULI, T, axes=([2, 1], [p, p + r]))
+    return DenseTensor(np.ascontiguousarray(np.transpose(T, tuple(range(m - 1, -1, -1))).real))
+
+
+def reference_reconstruct(coeff):
+    """The inverse map as one tensordot per site, regrouped from (b1, a1, ..., bm, am)."""
+    m = coeff.order
+    T = np.asarray(coeff.entries, dtype=complex)
+    for _ in range(m):
+        T = np.tensordot(T, PAULI, axes=([0], [0]))
+    order = tuple(range(0, 2 * m, 2)) + tuple(range(1, 2 * m, 2))
+    K = np.transpose(T, order).reshape(2 ** m, 2 ** m)
+    V = dicke_isometry(m)
+    return spin_state(m, V.conj().T @ K @ V / 2 ** m)

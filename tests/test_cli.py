@@ -569,6 +569,7 @@ class TestSpinCommands:
         assert code == 2
         assert "NO CONCLUSION" in out
 
+    @pytest.mark.parametrize("command", ["spin-certify", "spin-roundtrip"])
     @pytest.mark.parametrize("text, message", [
         ('{"m": 1, "rho_re": [[NaN, 0], [0, NaN]]}', "rho has an entry that is not finite"),
         ('{"m": 2, "rho_re": [[NaN, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]}', "rho has an entry that is not finite"),
@@ -577,12 +578,24 @@ class TestSpinCommands:
         ('{"m": 1, "rho_re": [[1e308, 0], [0, 1e308]]}', "trace is inf+0j, expected 1"),
         ('{"m": 2, "components": [{"w": 1e308, "theta": 0.1, "phi": 0.2}, {"w": 1e308, "theta": 0.3, "phi": 0.2}]}',
          "weights sum to inf, expected 1"),
+        # finite states whose coefficient tensor or reconstruction overflows; spin-certify
+        # stops first at the generated matrix's row sums where the tensor itself is finite
+        ('{"m": 2, "rho_re": [[0.5, 1e308, 0], [1e308, 0.5, 0], [0, 0, 0]]}',
+         {"spin-certify": "a row or column sum of the tensor's moduli is beyond the float range",
+          "spin-roundtrip": "the reconstructed state is beyond the float range"}),
+        ('{"m": 4, "rho_re": [[0.5, 0, 0, 0, 1e308], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], '
+         '[1e308, 0, 0, 0, 0.5]]}', "the coefficient tensor is beyond the float range"),
+        ('{"m": 2, "rho_re": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], "rho_im": [[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]]}',
+         {"spin-certify": "a row or column sum of the tensor's moduli is beyond the float range",
+          "spin-roundtrip": "the reconstructed state is beyond the float range"}),
     ])
-    def test_non_finite_or_overflowing_state_is_data_error(self, capsys, tmp_path, text, message):
+    def test_non_finite_or_overflowing_state_is_data_error(self, capsys, tmp_path, text, message, command):
         p = tmp_path / "state.json"
         p.write_text(text)
+        if isinstance(message, dict):
+            message = message[command]
         # a RuntimeWarning fails the test
-        assert run(capsys, "spin-certify", "--input", str(p)) == (65, "", f"tgmat: data error: {message}\n")
+        assert run(capsys, command, "--input", str(p)) == (65, "", f"tgmat: data error: {message}\n")
 
     def test_spin_roundtrip(self, capsys, tmp_path):
         p = tmp_path / "state.json"

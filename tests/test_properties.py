@@ -5,7 +5,9 @@ cascade's tensor-form rules and residuals agree with their definitions, the
 symmetry class agrees with a brute-force reading of its definition, the record
 summed from a loaded tensor's nonzeros agrees with the dense walk and ignores the
 order the entries were listed in, and the exact dimension-2 oracle matches its
-tuple-by-tuple reference bit for bit and scales exactly with a power of two."""
+tuple-by-tuple reference bit for bit and scales exactly with a power of two, and
+the spin coefficient map and its inverse match their one-tensordot-per-site
+references bit for bit."""
 
 import itertools
 import random as pyrandom
@@ -23,14 +25,17 @@ from conftest import (
     near_boundary_z_tensor,
     near_singular_cycle,
     random_sparse_tensor,
+    reference_coefficient_tensor,
     reference_exact_2d,
     reference_real_bounds,
+    reference_reconstruct,
 )
 from tgmat.compare import gt
 from tgmat.dominance import certify_h_tensor, is_h_matrix, is_weakly_chained_dd, tensor_dd
 from tgmat.errors import TgmatError
 from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton
 from tgmat.regions import KINDS, build_region, real_bounds
+from tgmat.spin import classical_mixture, coefficient_tensor, reconstruct_state, spin_state
 from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix, tensor_from_json
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -367,3 +372,45 @@ def test_exact_2d_scales_with_a_power_of_two(t, k):
         want = [(np.ldexp(np.frombuffer(v), k).tobytes(), np.ldexp(np.frombuffer(r), k).tobytes(), x)
                 for v, r, x in want]
     assert exact_2d_outcome(h_eigen_exact_2d, DenseTensor(scaled)) == want
+
+
+@st.composite
+def spin_states(draw):
+    """Pure, basis (Dicke), random mixed and coherent-mixture states, and diagonal
+    states with one off-diagonal pair between 1e-200 and 1e-320, for 2j = 2..8."""
+    m = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(["pure", "basis", "mixed", "coherent", "tiny_pair"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = m + 1
+    if kind == "coherent":
+        k = int(rng.integers(1, 5))
+        w = rng.uniform(0.1, 1.0, k)
+        return classical_mixture(m, w / w.sum(), zip(rng.uniform(0.0, np.pi, k), rng.uniform(0.0, 2.0 * np.pi, k)))
+    if kind == "pure":
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+    elif kind == "basis":
+        rho = np.diag(np.eye(d)[int(rng.integers(d))])
+    elif kind == "mixed":
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = G @ G.conj().T
+        rho = rho / np.trace(rho)
+    else:
+        w = rng.uniform(0.0, 1.0, d)
+        rho = np.diag(w / w.sum()).astype(complex)
+        i, j = rng.choice(d, 2, replace=False)
+        rho[i, j] = 10.0 ** -rng.uniform(200, 320) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        rho[j, i] = np.conj(rho[i, j])
+    return spin_state(m, rho)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.int64), np.ascontiguousarray(b).view(np.int64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(spin_states())
+def test_spin_maps_match_the_tensordot_references(state):
+    A = coefficient_tensor(state)
+    assert same_bits(A.entries, reference_coefficient_tensor(state).entries)
+    assert same_bits(reconstruct_state(A).rho, reference_reconstruct(A).rho)

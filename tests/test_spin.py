@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import count_row_passes
+from tgmat import spin
 from tgmat.errors import (
     BadAngle,
     BadIndex,
@@ -24,7 +25,7 @@ from tgmat.spin import (
     spin_state,
     state_from_json,
 )
-from tgmat.tensor import diagonal, poly_values
+from tgmat.tensor import diagonal, poly_values, zero_tensor
 
 
 def random_state(rng, m):
@@ -142,6 +143,26 @@ class TestCoefficientTensor:
             A = coefficient_tensor(mix).entries
             B = w * coefficient_tensor(a).entries + (1 - w) * coefficient_tensor(b).entries
             assert np.max(np.abs(A - B)) <= 1e-12
+
+    def test_entries_are_traces_against_s_operators(self):
+        rng = np.random.default_rng(55)
+        for m in (2, 3, 4):
+            st = random_state(rng, m)
+            A = coefficient_tensor(st).entries
+            for mu in np.ndindex(A.shape):
+                assert abs(A[mu] - np.trace(st.rho @ s_operator(mu))) <= 1e-13
+
+    def test_reconstruction_is_the_s_operator_sum(self):
+        rng = np.random.default_rng(56)
+        for m in (2, 3, 4):
+            coeff = coefficient_tensor(random_state(rng, m))
+            want = sum(a * s_operator(mu) for mu, a in np.ndenumerate(coeff.entries)) / 2 ** m
+            assert np.max(np.abs(reconstruct_state(coeff).rho - want)) <= 1e-13
+
+    def test_reconstruction_rejects_a_large_order_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(spin, "_each_site", lambda *args: pytest.fail("the 4^m transform ran"))
+        with pytest.raises(OrderTooLarge):
+            reconstruct_state(zero_tensor(10, 4))
 
 
 class TestCoherentStates:
