@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import os
 import stat
 import sys
@@ -94,7 +95,8 @@ def cmd_certify(args) -> int:
         if cert.gamma is not None:
             lines.append(f"gamma,{_fmt(cert.gamma)}")
         if cert.scaling is not None:
-            lines.append("scaling," + _fmt_vec(cert.scaling))
+            # shortest round-trip text: the printed y reads back to the vector re-checked
+            lines.append("scaling," + ",".join(map(repr, cert.scaling.tolist())))
             lines.append("row,residual")
             for i, res in enumerate(cert.residuals):
                 lines.append(f"{i + 1},{res:.6e}")
@@ -154,8 +156,10 @@ def cmd_region_grid(args) -> int:
         if len(parts) != 6:
             raise ValueError
         re0, re1, im0, im1, nx, ny = parts
+        if not (nx.is_integer() and ny.is_integer()):  # also nan and inf
+            raise ValueError
         nx, ny = int(nx), int(ny)
-    except (ValueError, OverflowError):
+    except ValueError:
         raise _UsageError("grid must be re0:re1:im0:im1:nx:ny")
     if nx < 2 or ny < 2:
         raise _UsageError("grid needs nx >= 2 and ny >= 2")
@@ -163,14 +167,15 @@ def cmd_region_grid(args) -> int:
     region = reg.build_region(t, args.kind, gamma=args.gamma, subset=subset)
     res, ims, member = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
     # the ",im,member" tail of every cell, flat: (im j, member b) sits at 2 j + b
-    cells = np.array([f",{i:.9g},{b}" for i in ims.tolist() for b in (0, 1)])
+    cells = [f",{i:.9g},{b}" for i in ims.tolist() for b in (0, 1)]
     column = 2 * np.arange(ny)
 
     def rows():  # one grid row at a time: the text of the whole grid is never held
         yield "re,im,member"
         for r, row in zip(res.tolist(), member):
             text = f"{r:.9g}"
-            yield text + ("\n" + text).join(cells[column + row].tolist())
+            # ny >= 2, so itemgetter returns a tuple, never one bare string
+            yield text + ("\n" + text).join(operator.itemgetter(*(column + row).tolist())(cells))
 
     _emit(rows(), args.output)
     return EXIT_OK

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import tensor as tz
-from .compare import gt, leq
+from .compare import gt, leq, positive
 from .errors import BadGrid, BadSubset, GammaOutOfRange, WrongDimension
 
 __all__ = ["Region", "RealBounds", "KINDS", "build_region", "membership", "real_bounds", "grid_sample"]
@@ -169,7 +169,7 @@ def _pair_test(region: Region, f: np.ndarray) -> np.ndarray:
     # An infinite rhs, from statistics beyond sqrt of the largest float, excludes
     # nothing: against it inf - inf is nan, and a nan margin test is False.
     with np.errstate(over="ignore", invalid="ignore"):
-        excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rhs)
+        excluded = positive(bi) & positive(bj) & gt(bi * bj, rhs)
     return ~excluded.all(axis=-1)
 
 

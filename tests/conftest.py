@@ -262,6 +262,22 @@ def reference_real_bounds(region):
     return RealBounds(float(lower), -float(mirrored))
 
 
+def reference_grid_text(res, ims, member):
+    """The region-grid CSV for ``grid_sample``'s axes and member matrix, one row at a time.
+
+    The formatter ``region-grid`` had before it picked each row's text from
+    a list: the cells in a numpy unicode array, indexed by one integer array
+    per row.  The command's output must match it byte for byte.
+    """
+    cells = np.array([f",{i:.9g},{b}" for i in ims.tolist() for b in (0, 1)])
+    column = 2 * np.arange(len(ims))
+    lines = ["re,im,member"]
+    for r, row in zip(res.tolist(), member):
+        text = f"{r:.9g}"
+        lines.append(text + ("\n" + text).join(cells[column + row].tolist()))
+    return "".join(line + "\n" for line in lines)
+
+
 def reference_exact_2d(t):
     """The exact dimension-2 oracle one tuple and one root at a time.
 

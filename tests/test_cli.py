@@ -24,6 +24,7 @@ from conftest import (
     near_singular_cycle,
 )
 from tgmat.cli import main
+from tgmat.dominance import certify_h_tensor
 from tgmat.errors import TgmatError
 from tgmat.oracle import h_eigen_newton
 
@@ -203,7 +204,7 @@ class TestCertify:
         p = write_tensor(tmp_path / "huge.json", 2, 2, ENTRIES_HUGE_DIAGONAL)
         code, out, err = run(capsys, "certify", "--input", p)  # a RuntimeWarning fails the test
         assert code == 0 and err == ""
-        assert out == ("verdict,certified_H\nrule,SDD\nscaling,1.000000,1.000000\n"
+        assert out == ("verdict,certified_H\nrule,SDD\nscaling,1.0,1.0\n"
                        "row,residual\n1,1.000000e+308\n2,1.000000e+308\n")
 
     def test_degenerate_row_in_a_subnormal_weak_chain(self, capsys, tmp_path):
@@ -212,6 +213,19 @@ class TestCertify:
         assert code == 0 and err == ""
         assert out == ("verdict,certified_H\nrule,WeaklyChainedDD\nscaling,none\n"
                        "note,rows [1] have |a_ii...i| <= s_ii; matrix rules skipped\n")
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_printed_scaling_is_the_verified_vector(self, capsys, tmp_path, order):
+        # y_1 is 2.5e-09 at order 2 and 5e-05 at order 3: six decimals printed 0.000000 and 0.000050
+        entries = {(1,) * order: 1e9, (1,) + (2,) * (order - 1): 1.0, (2,) + (1,) * (order - 1): 2e8, (2,) * order: 1.0}
+        p = write_tensor(tmp_path / "skewed.json", order, 2, entries)
+        code, out, err = run(capsys, "certify", "--input", p)
+        assert code == 0 and err == ""
+        line = next(line for line in out.splitlines() if line.startswith("scaling,"))
+        printed = np.array([float(v) for v in line.split(",")[1:]])
+        want = certify_h_tensor(tz.load_tensor(p)).scaling
+        assert (printed > 0).all()
+        assert printed.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("delta,rule", [(2e-12, "IrreducibleDD"), (3e-12, "GeneralizedH")])
     def test_near_singular_cycle_reaches_the_tail_rules(self, capsys, tmp_path, delta, rule):
@@ -539,6 +553,17 @@ class TestRegionGrid:
         code, out, err = run(capsys, "region-grid", "--input", f42, "--grid=0:1:0:1:inf:2")
         assert code == 64 and out == ""
         assert err == "tgmat: error: grid must be re0:re1:im0:im1:nx:ny\n"
+
+    @pytest.mark.parametrize("counts", ["2.7:2", "2:2.5", "1e3:2.000001"])
+    def test_non_integral_grid_size_is_usage_error(self, capsys, f42, counts):
+        code, out, err = run(capsys, "region-grid", "--input", f42, f"--grid=0:1:0:1:{counts}")
+        assert code == 64 and out == ""
+        assert err == "tgmat: error: grid must be re0:re1:im0:im1:nx:ny\n"
+
+    def test_integral_float_grid_size_is_accepted(self, capsys, f42):
+        code, out, err = run(capsys, "region-grid", "--input", f42, "--grid=0:1:0:1:1e1:2.0")
+        assert code == 0 and err == ""
+        assert out.count("\n") == 1 + 10 * 2
 
 
 class TestSpinCommands:

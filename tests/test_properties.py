@@ -7,9 +7,13 @@ summed from a loaded tensor's nonzeros agrees with the dense walk and ignores th
 order the entries were listed in, and the exact dimension-2 oracle matches its
 tuple-by-tuple reference bit for bit and scales exactly with a power of two, and
 the spin coefficient map and its inverse match their one-tensordot-per-site
-references bit for bit."""
+references bit for bit, ``compare.positive`` is ``gt`` against 0, and the
+region-grid text matches the numpy-array row formatter byte for byte."""
 
+import contextlib
+import io
 import itertools
+import json
 import random as pyrandom
 
 import numpy as np
@@ -27,16 +31,18 @@ from conftest import (
     random_sparse_tensor,
     reference_coefficient_tensor,
     reference_exact_2d,
+    reference_grid_text,
     reference_real_bounds,
     reference_reconstruct,
 )
-from tgmat.compare import gt
+from tgmat.cli import main
+from tgmat.compare import EPS, gt, positive
 from tgmat.dominance import certify_h_tensor, is_h_matrix, is_weakly_chained_dd, tensor_dd
 from tgmat.errors import TgmatError
 from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton
-from tgmat.regions import KINDS, build_region, real_bounds
+from tgmat.regions import KINDS, build_region, grid_sample, real_bounds
 from tgmat.spin import classical_mixture, coefficient_tensor, reconstruct_state, spin_state
-from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix, tensor_from_json
+from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix, load_tensor, tensor_from_json
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -140,6 +146,46 @@ def test_newton_eigenvalues_lie_in_every_region(case):
             # allow the oracle's own resolution, its 1e-6 dedupe tolerance
             tol = 1e-6 * max(1.0, abs(v))
             assert lower - tol <= v <= upper + tol, (spec, v, lower, upper)
+
+
+# zeros, the smallest subnormal, EPS, 1 and the largest float with their neighbours, infinities and nan
+MARGIN_EDGES = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(EPS, 0.0), EPS, np.nextafter(EPS, 1.0),
+                np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), np.finfo(float).max, -np.finfo(float).max,
+                np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats() | st.floats(EPS / 4, 4 * EPS) | st.floats(0.25, 4.0), min_size=1, max_size=40))
+def test_positive_is_gt_against_zero(values):
+    a = np.array(values + MARGIN_EDGES)
+    assert np.array_equal(positive(a), gt(a, 0.0))
+
+
+@st.composite
+def grid_specs(draw):
+    """Ascending grid ends from moderate values, signed zeros, 1e-300 and 1e300, and 2..6 samples per axis."""
+    end = st.floats(-20.0, 20.0) | st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+    re0, re1, im0, im1 = (*sorted([draw(end), draw(end)]), *sorted([draw(end), draw(end)]))
+    return [re0, re1, im0, im1, draw(st.integers(2, 6)), draw(st.integers(2, 6))]
+
+
+@PROPERTY_SETTINGS
+@given(tensors_with_regions(), grid_specs())
+def test_grid_text_matches_the_array_formatter(tmp_path_factory, case, grid):
+    t, specs = case
+    path = tmp_path_factory.mktemp("grid") / "t.json"
+    entries = [{"idx": [int(k) + 1 for k in idx], "val": float(t.entries[idx])} for idx in zip(*np.nonzero(t.entries))]
+    path.write_text(json.dumps({"order": t.order, "dim": t.dim, "entries": entries}))
+    re0, re1, im0, im1, nx, ny = grid
+    loaded = load_tensor(str(path))
+    for kind, gamma, subset in specs:
+        argv = ["region-grid", "--input", str(path), "--kind", kind, f"--grid={re0!r}:{re1!r}:{im0!r}:{im1!r}:{nx}:{ny}"]
+        argv += ["--gamma", repr(gamma)] if gamma is not None else []
+        argv += ["--subset", ",".join(map(str, subset))] if subset else []
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0
+        region = build_region(loaded, kind, gamma=gamma, subset=subset)
+        assert out.getvalue() == reference_grid_text(*grid_sample(region, (re0, re1), (im0, im1), nx, ny)), kind
 
 
 # the rules a random draw seldom reaches: DoublySDD on both demos, GammaSDD on the last
