@@ -21,6 +21,7 @@ call evaluates the ends of any number of regions together.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -63,9 +64,11 @@ class Region:
     """One inclusion region of one tensor, with every part of its test that does not depend on z.
 
     ``stats`` is the tensor's generated-matrix record.  ``radius`` is the
-    per-row disc radius of the disc kinds; ``rS`` is each P_i's mass on the
-    subset S for 'stype', the radius of its S-discs.  ``pairs`` holds the
-    pair test of the pair kinds.
+    per-row disc radius of the disc kinds; ``pairs`` holds the pair test of
+    the pair kinds.  The S-discs |f_i| <= rS_i of 'stype' (i in S, rS_i the
+    mass of P_i on S) are not stored: pair (i, j) excludes z only when
+    f_i - rS_i > 0, so every point of an S-disc is a member through the pairs
+    of i, and 'stype' is its pairs alone.
     """
 
     kind: str
@@ -73,7 +76,6 @@ class Region:
     gamma: Optional[float] = None
     subset: Optional[tuple[int, ...]] = None  # 1-based, sorted
     radius: Optional[np.ndarray] = None
-    rS: Optional[np.ndarray] = None
     pairs: Optional[_PairTest] = None
 
 
@@ -109,7 +111,7 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
             raise BadSubset(f"subset {subset} is not a nonempty proper subset of 1..{n}")
     G = tz.generated_matrix(t)
     P, Q, S = G.P, G.Q, G.S
-    radius = rS = pairs = None
+    radius = pairs = None
     if kind == "gershgorin":
         radius = P
     elif kind == "ostrowski":
@@ -138,7 +140,7 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
         # overflows to inf, and an infinite rhs excludes no point
         with np.errstate(over="ignore"):
             pairs = _PairTest(I, J, off_i, off_j, x * y)
-    return Region(kind, G, gamma, sub, radius, rS, pairs)
+    return Region(kind, G, gamma, sub, radius, pairs)
 
 
 def membership(region: Region, z) -> bool | np.ndarray:
@@ -146,7 +148,7 @@ def membership(region: Region, z) -> bool | np.ndarray:
     za = np.asarray(z, dtype=complex)
     flat = za.ravel()
     G, pairs = region.stats, region.pairs
-    test = _disc_test if pairs is None else _annulus_test if region.kind == "stype" else _pair_test
+    test = _disc_test if pairs is None else _pair_test
     step = max(1, _CHUNK_ELEMENTS // max(G.dim, len(pairs.i) if pairs else 0))
     member = np.empty(flat.shape, dtype=bool)
     for s in range(0, len(flat), step):
@@ -164,24 +166,17 @@ def _pair_test(region: Region, f: np.ndarray) -> np.ndarray:
     I, J, off_i, off_j, rhs = region.pairs
     bi = f[:, I] - off_i
     bj = f[:, J] - off_j
-    # far from the tensor's scale bi * bj may overflow; it counts only where both
-    # brackets are positive, and there +inf beats every finite rhs, as it should.
-    # An infinite rhs, from statistics beyond sqrt of the largest float, excludes
-    # nothing: against it inf - inf is nan, and a nan margin test is False.
+    # A point is excluded only when the signed brackets are positive: the
+    # exclusion argument runs through strict dominance of the shifted tensor's
+    # generated matrix, whose diagonal is f itself, so a negative f with a
+    # large |f| proves nothing.  Far from the tensor's scale bi * bj may
+    # overflow; it counts only where both brackets are positive, and there
+    # +inf beats every finite rhs, as it should.  An infinite rhs, from
+    # statistics beyond sqrt of the largest float, excludes nothing: against
+    # it inf - inf is nan, and a nan margin test is False.
     with np.errstate(over="ignore", invalid="ignore"):
         excluded = positive(bi) & positive(bj) & gt(bi * bj, rhs)
     return ~excluded.all(axis=-1)
-
-
-def _annulus_test(region: Region, f: np.ndarray) -> np.ndarray:
-    # For the split-sum kinds the outer absolute value |f| widens the member
-    # side (annular components), but a point may be EXCLUDED only when the
-    # signed brackets f are positive: the exclusion argument runs through
-    # strict dominance of the shifted tensor's generated matrix, whose
-    # diagonal is f itself, so a negative f with large |f| proves nothing.
-    # With f > 0 the two bracket forms coincide.
-    sub0 = [i - 1 for i in region.subset]
-    return leq(np.abs(f[:, sub0]), region.rS[sub0]).any(axis=-1) | _pair_test(region, f)
 
 
 def real_bounds(regions: Region | Sequence[Region]) -> RealBounds | list[RealBounds]:
@@ -196,10 +191,9 @@ def real_bounds(regions: Region | Sequence[Region]) -> RealBounds | list[RealBou
     the smaller root of (u - x)(v - x) = rhs; with offsets >= 0 the root is
     a member.  A negative rhs excludes the same points as 0, and an infinite
     one excludes nothing.  A disc f_i <= radius_i is the pair (i, i) with
-    both offsets the radius and rhs 0.  The S-annuli |f_i| <= rS_i of 'stype'
-    reach no further than its pairs: pair (i, j) has u = a_i - s_ii - rS_i,
-    the annulus's own lower end.  The upper end is the lower end of the
-    region mirrored at 0, which negates every center.
+    both offsets the radius and rhs 0.  'stype' is its pairs (see ``Region``).
+    The upper end is the lower end of the region mirrored at 0, which negates
+    every center.
     """
     single = isinstance(regions, Region)
     regions = [regions] if single else list(regions)
@@ -250,6 +244,10 @@ def grid_sample(region: Region, re_range, im_range, nx: int, ny: int):
         im0, im1 = (float(v) for v in im_range)
     except (TypeError, ValueError):
         raise BadGrid("ranges must be (low, high) pairs")
+    try:
+        nx, ny = operator.index(nx), operator.index(ny)
+    except TypeError:
+        raise BadGrid(f"grid counts must be integers, got {nx!r} and {ny!r}")
     if nx < 2 or ny < 2:
         raise BadGrid("grid needs nx >= 2 and ny >= 2")
     if nx * ny > tz.MAX_ENTRIES:

@@ -14,6 +14,7 @@ verdict says nothing about nonclassicality.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import comb
@@ -282,6 +283,22 @@ def certify_classicality(state: SpinState) -> ClassicalityVerdict:
     )
 
 
+def _numbers(values) -> bool:
+    """Whether every value is a JSON number: an int or a float, not a boolean or a numeric string."""
+    return all(type(v) in (int, float) for v in values)
+
+
+def _matrix(rows) -> Optional[np.ndarray]:
+    """A list of equal-length lists of JSON numbers as a float matrix, or None for anything else.
+
+    An integer beyond the largest float becomes an infinity of its sign.
+    """
+    if type(rows) is not list or any(type(row) is not list or len(row) != len(rows[0]) for row in rows):
+        return None
+    flat = list(itertools.chain.from_iterable(rows))
+    return tz._float_array(flat).reshape(len(rows), len(rows[0]) if rows else 0) if _numbers(flat) else None
+
+
 def state_from_json(obj: dict) -> SpinState:
     """Parse either state format.
 
@@ -294,18 +311,18 @@ def state_from_json(obj: dict) -> SpinState:
     except (KeyError, TypeError):
         raise TgmatError("state file needs an integer 'm'")
     if "components" in obj:
-        comps = obj["components"]
         try:
-            weights = [float(c["w"]) for c in comps]
-            directions = [(float(c["theta"]), float(c["phi"])) for c in comps]
-        except (KeyError, TypeError, ValueError):
+            flat = [c[key] for c in obj["components"] for key in ("w", "theta", "phi")]
+        except (KeyError, TypeError):
+            flat = None
+        if flat is None or not _numbers(flat):
             raise TgmatError("each component needs numeric 'w', 'theta', 'phi'")
-        return classical_mixture(m, weights, directions)
-    try:
-        re = np.asarray(obj["rho_re"], dtype=float)
-        # an omitted 'rho_im' and a null one both mean a real density matrix
-        im = np.zeros_like(re) if obj.get("rho_im") is None else np.asarray(obj["rho_im"], dtype=float)
-    except (KeyError, TypeError, ValueError):
+        weights, thetas, phis = tz._float_array(flat).reshape(-1, 3).T.tolist()
+        return classical_mixture(m, weights, list(zip(thetas, phis)))
+    re = _matrix(obj.get("rho_re"))
+    # an omitted 'rho_im' and a null one both mean a real density matrix
+    im = np.zeros(np.shape(re)) if obj.get("rho_im") is None else _matrix(obj["rho_im"])
+    if re is None or im is None:
         raise TgmatError("state file needs numeric 'rho_re' (or 'components') and an optional numeric 'rho_im'")
     if re.shape != im.shape:
         raise TgmatError("rho_re and rho_im must have the same shape")

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tgmat.compare import gt, leq
 from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFiniteValue, TgmatError, WrongDimension
 from tgmat.oracle import _dedupe, _finish_pair
 from tgmat.regions import RealBounds
@@ -260,6 +261,37 @@ def reference_real_bounds(region):
     err = 3.0 * np.finfo(float).eps * size + np.minimum(size, 2.0 ** -1072)
     lower, mirrored = np.min(0.5 * ((u + v) - h) - err, axis=1)
     return RealBounds(float(lower), -float(mirrored))
+
+
+def stype_split_sums(region):
+    """rS_i, the mass of P_i on the subset S of an 'stype' region, summed as ``build_region`` sums it."""
+    G = region.stats
+    member = np.zeros(G.dim, dtype=bool)
+    member[[i - 1 for i in region.subset]] = True
+    return np.where(member & ~np.eye(G.dim, dtype=bool), G.S, 0.0).sum(axis=1)
+
+
+def reference_annulus_membership(region, z):
+    """'stype' membership as the union of its S-discs and its pair ovals, z a 1-D array.
+
+    The test ``membership`` had before 'stype' became its pairs alone: a
+    point is a member when |f_i| <= rS_i (closed, with the shared margin)
+    for some i in S, or when no pair (i, j), i in S and j outside it,
+    excludes it.  ``membership`` may drop only points just outside an
+    S-disc's outer circle.
+    """
+    G = region.stats
+    sub0 = np.array(region.subset) - 1
+    comp0 = np.setdiff1d(np.arange(G.dim), sub0)
+    rS = stype_split_sums(region)
+    rC = G.P - rS
+    f = np.abs(np.asarray(z, dtype=complex)[:, None] - G.diagonal) - G.s_diag
+    discs = leq(np.abs(f[:, sub0]), rS[sub0]).any(axis=1)
+    I, J = np.repeat(sub0, len(comp0)), np.tile(comp0, len(sub0))
+    bi, bj = f[:, I] - rS[I], f[:, J] - rC[J]
+    with np.errstate(over="ignore", invalid="ignore"):
+        excluded = gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rC[I] * rS[J])
+    return discs | ~excluded.all(axis=1)
 
 
 def reference_grid_text(res, ims, member):

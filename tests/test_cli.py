@@ -137,9 +137,18 @@ RHO_3 = [[0.5, 0, 0], [0, 0, 0], [0, 0, 0.5]]
     ("certify", {"order": 2, "dim": 2, "entries": [DIAG_21, {"idx": [1, 2], "val": 10 ** 400}]}),
     ("certify", {"order": 2, "dim": 2, "entries": [DIAG_21, {"idx": [1, 2], "val": [1.7e308, 1.7e308]}]}),
     ("certify", {"order": 100, "dim": 1, "entries": []}),
+    ("spin-certify", {"m": 2, "components": [{"w": "1", "theta": True, "phi": "0"}]}),
+    ("spin-certify", {"m": 2, "rho_re": [["0.5", 0, 0], [0, 0, 0], [0, 0, "0.5"]]}),
+    ("spin-certify", {"m": 2, "rho_re": RHO_3, "rho_im": False}),
+    ("spin-certify", {"m": 2, "rho_re": RHO_3, "rho_im": [[False, 0, 0], [0, 0, 0], [0, 0, 0]]}),
+    ("spin-certify", {"m": 2, "rho_re": [[0.5, 0, 0], [0, 0], [0, 0, 0.5]]}),
+    ("spin-certify", {"m": 2, "components": [{"w": 10 ** 400, "theta": 0, "phi": 0}]}),
+    ("spin-roundtrip", {"m": 1, "rho_re": [[10 ** 400, 0], [0, 0]]}),
 ], ids=["entries-number", "val-string", "val-nested", "val-null", "order-inf", "idx-inf",
         "rho_im-string", "rho_im-ragged", "rho_re-ragged", "m-inf", "idx-string", "idx-float", "idx-bool",
-        "idx-object", "order-float", "order-integral-float", "dim-bool", "m-float", "val-huge-integer", "val-huge-modulus", "order-huge"])
+        "idx-object", "order-float", "order-integral-float", "dim-bool", "m-float", "val-huge-integer", "val-huge-modulus", "order-huge",
+        "components-string-bool", "rho_re-string", "rho_im-false", "rho_im-false-entry", "rho_re-ragged-square",
+        "w-huge-integer", "rho_re-huge-integer"])
 def test_malformed_json_is_data_error(capsys, tmp_path, command, obj):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj))  # writes inf as the JSON extension Infinity, which json.load reads
@@ -213,6 +222,15 @@ class TestCertify:
         assert code == 0 and err == ""
         assert out == ("verdict,certified_H\nrule,WeaklyChainedDD\nscaling,none\n"
                        "note,rows [1] have |a_ii...i| <= s_ii; matrix rules skipped\n")
+
+    def test_gamma_rule_prints_its_gamma(self, capsys, tmp_path):
+        # not SDD (row 3: 2 < 8) nor DoublySDD (rows 2, 3: 10 < 16); GammaSDD with the searched gamma
+        entries = {(1, 1): 5.0, (2, 1): 2.0, (2, 2): 5.0, (3, 1): 4.0, (3, 2): 4.0, (3, 3): 2.0}
+        p = write_tensor(tmp_path / "gamma.json", 2, 3, entries)
+        code, out, err = run(capsys, "certify", "--input", p)
+        assert code == 0 and err == ""
+        assert out == ("verdict,certified_H\nrule,GammaSDD\ngamma,0.208333\nscaling,0.2,0.27999999999999997,1.46\n"
+                       "row,residual\n1,1.000000e+00\n2,1.000000e+00\n3,1.000000e+00\n")
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_printed_scaling_is_the_verified_vector(self, capsys, tmp_path, order):
@@ -651,6 +669,11 @@ class TestUsage:
                          ["region-grid", "--input", f42, "--grid=0:1:0:1:2:2"]):
                 run(capsys, *argv)
         assert len(builds) == 1
+
+    @pytest.mark.parametrize("argv", [["bounds"], ["region-grid", "--kind", "stype", "--grid=0:1:0:1:2:2"]])
+    def test_non_integer_subset_is_usage_error(self, capsys, f44, argv):
+        code, out, err = run(capsys, *argv, "--input", f44, "--subset", "1,x")
+        assert code == 64 and out == "" and "bad subset '1,x'" in err
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "certify")[0] == 64

@@ -64,6 +64,13 @@ class TestCheckDominance:
         rep = check_dominance(G, "GammaSDD", gamma=0.5)
         assert rep.kind == "GammaSDD"
 
+    def test_dd_fails_on_a_row_below_its_off_diagonal_mass(self):
+        assert check_dominance(np.array([[1.0, 2.0], [0.0, 1.0]]), "DD").kind is None
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown dominance kind"):
+            check_dominance(np.eye(2), "RowSDD")
+
     def test_identity_passes_everything(self):
         M = np.eye(4)
         for kind in ("SDD", "DD", "DoublySDD"):
@@ -448,6 +455,13 @@ class TestZAndMTensors:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert is_m_tensor(DenseTensor(1e-13 * np.eye(2))) == (False, None)
+
+    def test_zero_diagonal_z_tensor_not_certified(self):
+        # s = max diagonal = 0 leaves no shift s I - A to test
+        for A in (np.zeros((2, 2)), np.array([[0.0, -1.0], [-1.0, 0.0]])):
+            t = DenseTensor(A)
+            assert is_z_tensor(t) and not is_weakly_chained_dd(t)
+            assert is_m_tensor(t) == (False, None)
 
     def test_negative_diagonal_refused_before_the_shift(self):
         # s - a_22 = 1e308 + 1e308 would overflow; a negative diagonal entry rules out an M-tensor first

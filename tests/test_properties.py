@@ -7,8 +7,10 @@ summed from a loaded tensor's nonzeros agrees with the dense walk and ignores th
 order the entries were listed in, and the exact dimension-2 oracle matches its
 tuple-by-tuple reference bit for bit and scales exactly with a power of two, and
 the spin coefficient map and its inverse match their one-tensordot-per-site
-references bit for bit, ``compare.positive`` is ``gt`` against 0, and the
-region-grid text matches the numpy-array row formatter byte for byte."""
+references bit for bit, ``compare.positive`` is ``gt`` against 0, the
+region-grid text matches the numpy-array row formatter byte for byte, and the
+S-type set tested by its pairs alone drops from the union with its S-discs
+only the sliver just outside an S-disc's outer circle."""
 
 import contextlib
 import io
@@ -32,15 +34,17 @@ from conftest import (
     reference_coefficient_tensor,
     reference_exact_2d,
     reference_grid_text,
+    reference_annulus_membership,
     reference_real_bounds,
     reference_reconstruct,
+    stype_split_sums,
 )
 from tgmat.cli import main
 from tgmat.compare import EPS, gt, positive
 from tgmat.dominance import certify_h_tensor, is_h_matrix, is_weakly_chained_dd, tensor_dd
 from tgmat.errors import TgmatError
 from tgmat.oracle import h_eigen_exact_2d, h_eigen_newton
-from tgmat.regions import KINDS, build_region, grid_sample, real_bounds
+from tgmat.regions import KINDS, build_region, grid_sample, membership, real_bounds
 from tgmat.spin import classical_mixture, coefficient_tensor, reconstruct_state, spin_state
 from tgmat.tensor import DenseTensor, build_tensor, classify_symmetry, generated_matrix, load_tensor, tensor_from_json
 
@@ -186,6 +190,58 @@ def test_grid_text_matches_the_array_formatter(tmp_path_factory, case, grid):
             assert main(argv) == 0
         region = build_region(loaded, kind, gamma=gamma, subset=subset)
         assert out.getvalue() == reference_grid_text(*grid_sample(region, (re0, re1), (im0, im1), nx, ny)), kind
+
+
+@st.composite
+def stype_regions_with_points(draw):
+    """An 'stype' region of a random tensor, with points in a box around it and near each S-disc's circles.
+
+    Entries are scaled from 1e-3 to 1e3, some rounded to integers.  Each
+    circle |z - a_i| = s_ii -+ rS_i, i in S, gets points on it and at radii
+    within 1e-9 relative of it, down to 1e-17 relative.  The sliver needs
+    every pair of some i in S to exclude points just outside its S-disc,
+    which a random tensor seldom allows; half the draws clear the mass of
+    the rows of S outside S to make it likely.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 3.0, 1e3]))
+    t = random_sparse_tensor(rng, integer=draw(st.booleans()), scale=max(scale, 1.0))
+    subset = sorted(draw(st.sets(st.integers(1, t.dim), min_size=1, max_size=t.dim - 1)))
+    entries = t.entries * min(scale, 1.0)
+    if draw(st.booleans()):
+        # rows of S with no mass outside S: their pairs have rhs 0 and exclude by the signs alone,
+        # so points just outside an S-disc can be excluded
+        inside = np.isin(np.arange(1, t.dim + 1), subset)
+        for i in subset:
+            entries[i - 1][~inside[np.indices(entries.shape[1:])].all(axis=0)] = 0.0
+    region = build_region(DenseTensor(entries), "stype", subset=subset)
+    G, rS = region.stats, stype_split_sums(region)
+    reach = float(np.max(np.abs(G.diagonal) + G.s_diag + G.P)) + 1.0
+    box = rng.uniform(-reach, reach, 400) + 1j * rng.uniform(-reach, reach, 400)
+    circles, k = [], 200
+    for i in region.subset:
+        for radius in (G.s_diag[i - 1] + rS[i - 1], G.s_diag[i - 1] - rS[i - 1]):
+            # half spread from 1e-9 to 1e-17, half near the margin's 1e-12
+            exponent = np.where(rng.random(k) < 0.5, rng.uniform(9.0, 17.0, k), rng.uniform(11.5, 13.5, k))
+            relative = rng.choice([-1.0, 1.0], k) * 10.0 ** -exponent
+            relative[:20] = 0.0
+            angle = np.where(rng.random(k) < 0.25, rng.choice([0.0, np.pi], k), rng.uniform(0.0, 2 * np.pi, k))
+            circles.append(G.diagonal[i - 1] + abs(radius) * (1.0 + relative) * np.exp(1j * angle))
+    return region, np.concatenate([box, *circles])
+
+
+@PROPERTY_SETTINGS
+@given(stype_regions_with_points())
+def test_stype_pairs_drop_only_the_sliver_outside_the_s_discs(case):
+    region, z = case
+    new, old = membership(region, z), reference_annulus_membership(region, z)
+    assert not (new & ~old).any()
+    # where they differ, some i in S has EPS < f_i - rS_i <= EPS max(1, |f_i|, rS_i)
+    G, sub0 = region.stats, np.array(region.subset) - 1
+    f = np.abs(z[new != old, None] - G.diagonal[sub0]) - G.s_diag[sub0]
+    rS = stype_split_sums(region)[sub0]
+    d = f - rS
+    assert ((d > EPS) & (d <= EPS * np.maximum(1.0, np.maximum(np.abs(f), rS)))).any(axis=1).all()
 
 
 # the rules a random draw seldom reaches: DoublySDD on both demos, GammaSDD on the last

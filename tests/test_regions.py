@@ -30,14 +30,11 @@ def reference_membership(region, z):
                 fi, fj = f[..., i], f[..., j]
                 member |= ~(gt(fi, 0.0) & gt(fj, 0.0) & gt(fi * fj, P[i] * P[j]))
         return member
-    g = np.abs(f)
     if region.kind == "stype":
         sub0 = [i - 1 for i in region.subset]
         comp0 = [j for j in range(n) if j + 1 not in region.subset]
         rS = np.array([sum(S[i, j] for j in sub0 if j != i) for i in range(n)])
         rC = P - rS
-        for i in sub0:
-            member |= leq(g[..., i], rS[i])
         for i in sub0:
             for j in comp0:
                 bi = f[..., i] - rS[i]
@@ -70,7 +67,9 @@ def exact_real_extent(region):
         if region.radius is not None:
             discs = enumerate(region.radius)
         elif region.kind == "stype":
-            discs = ((i - 1, region.rS[i - 1]) for i in region.subset)
+            # the S-discs |f_i| <= rS_i, rS_i = s_ij summed over j in S, j != i
+            sub0 = [i - 1 for i in region.subset]
+            discs = ((i, sum(G.S[i, j] for j in sub0 if j != i)) for i in sub0)
         else:
             discs = ()
         for i, r in discs:
@@ -109,6 +108,14 @@ class TestBuildRegion:
         stats = build_region(t44, "gershgorin").stats
         radii = stats.s_diag + stats.P
         assert np.max(np.abs(radii - np.array([11.0, 7.0, 5.0, 4.0]))) <= 1e-12
+
+    def test_unknown_kind(self, t44):
+        with pytest.raises(ValueError, match="unknown region kind"):
+            build_region(t44, "brauer")
+
+    def test_stype_needs_a_subset(self, t44):
+        with pytest.raises(BadSubset, match="needs a subset"):
+            build_region(t44, "stype")
 
     def test_full_subset_rejected(self, t44):
         with pytest.raises(BadSubset):
@@ -239,7 +246,7 @@ class TestRealBounds:
             raise AssertionError("real_bounds must not probe membership")
 
         monkeypatch.setattr(regions, "membership", fail)
-        for test in ("_disc_test", "_pair_test", "_annulus_test"):
+        for test in ("_disc_test", "_pair_test"):
             monkeypatch.setattr(regions, test, fail)
         rng = np.random.default_rng(47)
         for reg in every_region(t44, rng):
@@ -262,17 +269,22 @@ class TestBatchedRealBounds:
 
 
 def test_stype_split_sums_do_not_cancel():
+    # rS = (1, 1, 0): the pairs (1, 2) and (3, 2) hold rS_1 and rS_3 as off_i, P_2 - rS_2 as off_j
     reg = build_region(build_tensor(3, 3, ENTRIES_STYPE_CANCEL), "stype", subset=(1, 3))
-    assert reg.rS.tolist() == [1.0, 1.0, 0.0]
+    assert reg.pairs.off_i.tolist() == [1.0, 0.0]
+    assert reg.pairs.off_j.tolist() == [reg.stats.P[1] - 1.0] * 2
     # the loop definition: s_ij over j in S, j != i, added in index order, as
-    # numpy adds a row of fewer than eight terms
+    # numpy adds a row of fewer than eight terms; off_j is P_j less it, rounded once
     rng = np.random.default_rng(50)
     for _ in range(40):
         t = random_sparse_tensor(rng)
         subset = tuple(int(i) + 1 for i in rng.choice(t.dim, size=int(rng.integers(1, t.dim)), replace=False))
-        S = generated_matrix(t).S
-        want = [sum(S[i, j - 1] for j in sorted(subset) if j - 1 != i) for i in range(t.dim)]
-        assert build_region(t, "stype", subset=subset).rS.tolist() == want
+        G = generated_matrix(t)
+        want = [sum(G.S[i, j - 1] for j in sorted(subset) if j - 1 != i) for i in range(t.dim)]
+        reg = build_region(t, "stype", subset=subset)
+        I, J, off_i, off_j, _ = reg.pairs
+        assert off_i.tolist() == [want[i] for i in I.tolist()]
+        assert off_j.tolist() == [G.P[j] - want[j] for j in J.tolist()]
 
 
 class TestOverflowingStatistics:
@@ -392,6 +404,17 @@ class TestGridSample:
             grid_sample(reg, (0.0, float("inf")), (0.0, 1.0), 3, 3)
         with pytest.raises(BadGrid, match="finite width"):
             grid_sample(reg, (0.0, 1.0), (-1e308, 1e308), 3, 3)
+        for re_range, im_range in (((0.0, 1.0, 2.0), (0.0, 1.0)), ((0.0, 1.0), 1.0), (("a", 1.0), (0.0, 1.0))):
+            with pytest.raises(BadGrid, match="pairs"):
+                grid_sample(reg, re_range, im_range, 3, 3)
+
+    def test_counts_must_be_integers(self, t42):
+        reg = build_region(t42, "gershgorin")
+        for nx, ny in ((2.0, 2), (3, np.float64(3.0))):
+            with pytest.raises(BadGrid, match="integers"):
+                grid_sample(reg, (0.0, 1.0), (0.0, 1.0), nx, ny)
+        res, ims, member = grid_sample(reg, (0.0, 1.0), (0.0, 1.0), np.int64(3), np.int64(2))
+        assert member.shape == (3, 2) and np.array_equal(res, np.linspace(0.0, 1.0, 3))
 
 
 class TestFarPoints:

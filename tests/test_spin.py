@@ -10,6 +10,7 @@ from tgmat.errors import (
     BadIndex,
     NonHermitian,
     OrderTooLarge,
+    TgmatError,
     TraceNotOne,
     WeightMismatch,
 )
@@ -98,6 +99,16 @@ class TestStateValidation:
         with pytest.raises(TraceNotOne):
             spin_state(1, np.eye(2))
 
+    def test_order_range(self):
+        for m in (0, 9):
+            with pytest.raises(OrderTooLarge):
+                spin_state(m, np.eye(max(m, 1) + 1) / (max(m, 1) + 1))
+
+    def test_shape(self):
+        for rho in (np.eye(2) / 2, np.ones(3) / 3, np.eye(3)[:, :2] / 2):
+            with pytest.raises(TgmatError, match=r"rho must be \(3, 3\)"):
+                spin_state(2, rho)
+
 
 class TestCoefficientTensor:
     def test_maximally_mixed_m2(self):
@@ -158,6 +169,15 @@ class TestCoefficientTensor:
             coeff = coefficient_tensor(random_state(rng, m))
             want = sum(a * s_operator(mu) for mu, a in np.ndenumerate(coeff.entries)) / 2 ** m
             assert np.max(np.abs(reconstruct_state(coeff).rho - want)) <= 1e-13
+
+    def test_order_one_has_no_coefficient_tensor(self):
+        with pytest.raises(OrderTooLarge, match="2j >= 2"):
+            coefficient_tensor(spin_state(1, np.eye(2) / 2))
+
+    def test_reconstruction_needs_dimension_four(self):
+        for dim in (2, 3, 5):
+            with pytest.raises(TgmatError, match="dimension 4"):
+                reconstruct_state(zero_tensor(2, dim))
 
     def test_reconstruction_rejects_a_large_order_before_any_work(self, monkeypatch):
         monkeypatch.setattr(spin, "_each_site", lambda *args: pytest.fail("the 4^m transform ran"))
@@ -296,6 +316,17 @@ class TestStateJson:
             {"w": 0.5, "theta": float(np.pi), "phi": 0.0}]}
         st = state_from_json(obj)
         assert np.allclose(np.diag(st.rho.real), [0.5, 0.0, 0.5])
+
+    def test_rho_re_and_rho_im_shapes_must_match(self):
+        with pytest.raises(TgmatError, match="same shape"):
+            state_from_json({"m": 1, "rho_re": (np.eye(2) / 2).tolist(), "rho_im": np.zeros((3, 3)).tolist()})
+
+    @pytest.mark.parametrize("components", [
+        [{"w": 1.0, "theta": 0.0}], [[1.0, 0.0, 0.0]], 5, None,
+    ], ids=["missing-phi", "list-component", "number", "null"])
+    def test_components_must_be_objects_with_every_field(self, components):
+        with pytest.raises(TgmatError, match="each component needs numeric"):
+            state_from_json({"m": 2, "components": components})
 
     def test_complex_part(self):
         re = (np.eye(2) / 2).tolist()

@@ -63,6 +63,22 @@ class TestBuild:
         with pytest.raises(NonFiniteValue):
             build_tensor(2, 2, {(1, 1): float("nan")})
 
+    @pytest.mark.parametrize("entries,error,match", [
+        (np.ones(3), TgmatError, "order must be at least 2"),
+        (np.ones((2, 3)), TgmatError, "cubical"),
+        (np.ones((0, 0)), TgmatError, "dimension must be at least 1"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), NonFiniteValue, "finite"),
+    ], ids=["order-1", "not-cubical", "dim-0", "infinite"])
+    def test_dense_tensor_rejects(self, entries, error, match):
+        with pytest.raises(error, match=match):
+            DenseTensor(entries)
+
+    def test_order_and_dim_floors(self):
+        with pytest.raises(TgmatError, match="order must be at least 2"):
+            build_tensor(1, 2, {})
+        with pytest.raises(TgmatError, match="dim must be at least 1"):
+            build_tensor(2, 0, {})
+
     def test_dense_size_limit(self):
         for make in (lambda: build_tensor(30, 10, {}), lambda: unit_tensor(30, 10), lambda: zero_tensor(30, 10)):
             with pytest.raises(TgmatError, match="limit"):
@@ -368,6 +384,11 @@ class TestContraction:
 
 
 class TestPolyValue:
+    def test_batch_shape(self, t42):
+        for X in (np.ones(2), np.ones((3, 3)), np.ones((1, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                poly_values(t42, X)
+
     def test_unit_ones(self):
         for m, n in ((2, 3), (4, 2)):
             assert poly_value(unit_tensor(m, n), np.ones(n)) == pytest.approx(n)
