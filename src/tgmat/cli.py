@@ -137,6 +137,8 @@ def cmd_bounds(args) -> int:
 def cmd_oracle(args) -> int:
     if args.starts < 0:
         raise _UsageError("--starts must be >= 0")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
     t = tz.load_tensor(args.input)
     if t.dim == 2:
         pairs = orc.h_eigen_exact_2d(t)

@@ -65,30 +65,41 @@ _SITE = PAULI.reshape(4, 4)
 
 @dataclass(frozen=True)
 class SpinState:
-    """Validated spin-j density matrix; ``m`` = 2j, ``rho`` is (m+1)x(m+1)."""
+    """Spin-j density matrix in the Dicke basis; ``m`` = 2j, ``rho`` is (m+1)x(m+1).
+
+    Validated where it is built: m must lie in 1..MAX_ORDER (OrderTooLarge),
+    rho must have that shape (TgmatError), be finite (NonFiniteValue), and be
+    Hermitian (NonHermitian) and of trace 1 (TraceNotOne), each to 1e-12.
+    ``rho`` is held as a read-only complex copy, so every instance is a
+    valid state.
+    """
 
     m: int
     rho: np.ndarray
 
+    def __post_init__(self):
+        m = self.m
+        if not 1 <= m <= MAX_ORDER:
+            raise OrderTooLarge(f"2j = {m} outside 1..{MAX_ORDER}")
+        rho = np.asarray(self.rho, dtype=complex)
+        if rho.shape != (m + 1, m + 1):
+            raise TgmatError(f"rho must be {(m + 1, m + 1)}, got {rho.shape}")
+        if not np.isfinite(rho).all():
+            raise NonFiniteValue("rho has an entry that is not finite")
+        if not tz._within(rho, rho.conj().T, 1e-12):
+            raise NonHermitian("rho is not Hermitian to 1e-12")
+        with np.errstate(over="ignore"):
+            trace = np.trace(rho)
+        if not tz._within(trace, 1.0, 1e-12):
+            raise TraceNotOne(f"trace is {trace:.6g}, expected 1")
+        out = rho.copy()
+        out.flags.writeable = False
+        object.__setattr__(self, "rho", out)
+
 
 def spin_state(m: int, rho) -> SpinState:
-    """Validate and wrap a density matrix in the Dicke basis."""
-    if not 1 <= m <= MAX_ORDER:
-        raise OrderTooLarge(f"2j = {m} outside 1..{MAX_ORDER}")
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (m + 1, m + 1):
-        raise TgmatError(f"rho must be {(m + 1, m + 1)}, got {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise NonFiniteValue("rho has an entry that is not finite")
-    if not tz._within(rho, rho.conj().T, 1e-12):
-        raise NonHermitian("rho is not Hermitian to 1e-12")
-    with np.errstate(over="ignore"):
-        trace = np.trace(rho)
-    if not tz._within(trace, 1.0, 1e-12):
-        raise TraceNotOne(f"trace is {trace:.6g}, expected 1")
-    out = rho.copy()
-    out.flags.writeable = False
-    return SpinState(m, out)
+    """Validate and wrap a density matrix in the Dicke basis: ``SpinState(m, rho)``, which checks it."""
+    return SpinState(m, rho)
 
 
 @lru_cache(maxsize=None)
@@ -138,9 +149,12 @@ def coefficient_tensor(state: SpinState) -> tz.DenseTensor:
     are ordered (r1, c1, ..., rm, cm); the conjugate Pauli table then maps
     each site's pair (r, c) to its label, since tr(L sigma) sums
     L[r, c] conj(sigma[r, c]) for Hermitian sigma.  A tensor beyond the
-    float range raises NonFiniteValue.  The result is checked to be real,
-    permutation symmetric, and to carry the state trace at the all-zeros
-    tuple before it is returned.
+    float range raises NonFiniteValue.  The state was validated when it was
+    built, so nothing else is re-checked: its anti-Hermitian part and its
+    trace's distance from 1 are at most 1e-12, so each |Im A_mu| is at most
+    (m+1)^2 times that plus rounding (the imaginary part is dropped) and
+    A_0...0 = tr rho is 1 to that and rounding; A is permutation symmetric
+    because V's columns are.
     """
     m = state.m
     if m < 2:
@@ -152,14 +166,7 @@ def coefficient_tensor(state: SpinState) -> tz.DenseTensor:
         A = _each_site(L.transpose(np.arange(2 * m).reshape(2, m).T.ravel()), _SITE.conj().T, m)
     if not np.isfinite(A).all():
         raise NonFiniteValue("the coefficient tensor is beyond the float range")
-    if np.max(np.abs(A.imag)) > 1e-10:
-        raise TgmatError("coefficient tensor has a non-real entry; invalid state")
-    A = np.ascontiguousarray(A.real)
-    if abs(A[(0,) * m] - 1.0) > 1e-10:
-        raise TgmatError("coefficient tensor trace entry differs from 1")
-    if not tz._symmetric(A, 1e-10):
-        raise TgmatError("coefficient tensor is not permutation symmetric")
-    return tz.DenseTensor(A)
+    return tz.DenseTensor._wrap(np.ascontiguousarray(A.real))
 
 
 def reconstruct_state(coeff: tz.DenseTensor) -> SpinState:

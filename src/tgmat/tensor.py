@@ -427,14 +427,6 @@ def _within(A: np.ndarray, B: np.ndarray, tol: float) -> bool:
         return bool(np.abs(A - B).max() <= tol)
 
 
-def _symmetric(A: np.ndarray, tol: float) -> bool:
-    """Whether A changes by at most tol under every permutation of its axes; exact equality at tol 0.
-
-    Transpositions of neighbouring axes generate the whole group.
-    """
-    return all(_within(A, np.swapaxes(A, axis, axis + 1), tol) for axis in range(A.ndim - 1))
-
-
 def classify_symmetry(t: DenseTensor) -> str:
     """Classify the tensor as 'none', 'symmetric' or 'strongly_symmetric'.
 
@@ -447,7 +439,8 @@ def classify_symmetry(t: DenseTensor) -> str:
     """
     A = t.entries
     tol = _sym_tolerance(A)
-    if not _symmetric(A, tol):
+    # transpositions of neighbouring axes generate the whole group
+    if not all(_within(A, np.swapaxes(A, axis, axis + 1), tol) for axis in range(A.ndim - 1)):
         return "none"
     if A.ndim < 3 or _within(np.einsum("ii...->i...", A), np.einsum("jij...->ij...", A), tol):
         return "strongly_symmetric"
@@ -538,13 +531,17 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     ``{"order": m, "dim": n, "entries": [{"idx": [...], "val": v}, ...]}``
     with 1-based integer indices and omitted tuples equal to zero.  With
     ``"symmetrize": true`` every listed entry is replicated over all
-    permutations of its tuple; conflicting replicas are rejected.
+    permutations of its tuple; conflicting replicas are rejected.  The flag
+    must be a boolean or null.
     """
     try:
         order, dim = _int_field(obj, "order"), _int_field(obj, "dim")
         raw_entries = list(obj["entries"])
     except (KeyError, TypeError) as exc:
         raise TgmatError(f"tensor file needs integer 'order', 'dim' and an 'entries' list: {exc}")
+    symmetrize = obj.get("symmetrize")
+    if not (symmetrize is None or type(symmetrize) is bool):  # a null one means the same as leaving it out
+        raise TgmatError(f"tensor file's 'symmetrize' must be true, false or null, got {type(symmetrize).__name__}")
     pairs = [(e["idx"], e["val"]) if type(e) is dict and "idx" in e and "val" in e else (None, None)
              for e in raw_entries]
     rows = [idx for idx, _ in pairs]
@@ -560,7 +557,7 @@ def tensor_from_json(obj: dict) -> DenseTensor:
         if _integer_row(rows[p]):
             raise IndexOutOfRange(f"entry #{p}: idx {list(rows[p])} does not have {order} components")
         raise TgmatError(f"entry #{p}: expected an object with 'idx', a list of integers, and 'val'")
-    if not obj.get("symmetrize"):
+    if not symmetrize:
         return _assemble(order, dim, rows, idx, vals)
     # one row per class of tuples equal up to order: its first listing, holding its last value
     keys = np.sort(idx, axis=1)

@@ -144,11 +144,13 @@ RHO_3 = [[0.5, 0, 0], [0, 0, 0], [0, 0, 0.5]]
     ("spin-certify", {"m": 2, "rho_re": [[0.5, 0, 0], [0, 0], [0, 0, 0.5]]}),
     ("spin-certify", {"m": 2, "components": [{"w": 10 ** 400, "theta": 0, "phi": 0}]}),
     ("spin-roundtrip", {"m": 1, "rho_re": [[10 ** 400, 0], [0, 0]]}),
+    ("gen-matrix", {"order": 2, "dim": 2, "symmetrize": "false", "entries": [DIAG_21, {"idx": [1, 2], "val": 1.0}]}),
+    ("gen-matrix", {"order": 2, "dim": 2, "symmetrize": 1, "entries": [DIAG_21, {"idx": [1, 2], "val": 1.0}]}),
 ], ids=["entries-number", "val-string", "val-nested", "val-null", "order-inf", "idx-inf",
         "rho_im-string", "rho_im-ragged", "rho_re-ragged", "m-inf", "idx-string", "idx-float", "idx-bool",
         "idx-object", "order-float", "order-integral-float", "dim-bool", "m-float", "val-huge-integer", "val-huge-modulus", "order-huge",
         "components-string-bool", "rho_re-string", "rho_im-false", "rho_im-false-entry", "rho_re-ragged-square",
-        "w-huge-integer", "rho_re-huge-integer"])
+        "w-huge-integer", "rho_re-huge-integer", "symmetrize-string", "symmetrize-integer"])
 def test_malformed_json_is_data_error(capsys, tmp_path, command, obj):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(obj))  # writes inf as the JSON extension Infinity, which json.load reads
@@ -489,11 +491,12 @@ class TestOracle:
         vals = {round(float(line.split(",")[0]), 4) for line in out.strip().splitlines()[1:]}
         assert vals <= {2.0, 3.0, 5.0} and vals
 
-    def test_negative_starts_is_usage_error(self, capsys, f44):
-        code, out, err = run(capsys, "oracle", "--input", f44, "--starts", "-5")
+    @pytest.mark.parametrize("option,value", [("--starts", "-5"), ("--seed", "-1")])
+    def test_negative_starts_is_usage_error(self, capsys, f44, option, value):
+        code, out, err = run(capsys, "oracle", "--input", f44, option, value)
         assert code == 64
         assert out == ""
-        assert err.strip().splitlines() == ["tgmat: error: --starts must be >= 0"]
+        assert err.strip().splitlines() == [f"tgmat: error: {option} must be >= 0"]
 
     def test_zero_starts_prints_the_header(self, capsys, f44):
         code, out, _ = run(capsys, "oracle", "--input", f44, "--starts", "0")

@@ -8,6 +8,7 @@ from tgmat import spin
 from tgmat.errors import (
     BadAngle,
     BadIndex,
+    NonFiniteValue,
     NonHermitian,
     OrderTooLarge,
     TgmatError,
@@ -15,6 +16,7 @@ from tgmat.errors import (
     WeightMismatch,
 )
 from tgmat.spin import (
+    SpinState,
     certify_classicality,
     classical_mixture,
     coefficient_tensor,
@@ -90,24 +92,40 @@ class TestSOperator:
             s_operator((0, 4))
 
 
+def rejection(m, rho):
+    """The error of building a state from (m, rho), raised alike by ``spin_state`` and ``SpinState``."""
+    errors = []
+    for build in (spin_state, SpinState):
+        with pytest.raises(TgmatError) as info:
+            build(m, rho)
+        errors.append(info.value)
+    assert type(errors[0]) is type(errors[1]) and str(errors[0]) == str(errors[1])
+    return errors[0]
+
+
 class TestStateValidation:
     def test_non_hermitian(self):
-        with pytest.raises(NonHermitian):
-            spin_state(1, np.array([[0.5, 0.1], [0.3, 0.5]]))
+        assert isinstance(rejection(1, np.array([[0.5, 0.1], [0.3, 0.5]])), NonHermitian)
 
     def test_trace(self):
-        with pytest.raises(TraceNotOne):
-            spin_state(1, np.eye(2))
+        assert isinstance(rejection(1, np.eye(2)), TraceNotOne)
 
     def test_order_range(self):
         for m in (0, 9):
-            with pytest.raises(OrderTooLarge):
-                spin_state(m, np.eye(max(m, 1) + 1) / (max(m, 1) + 1))
+            assert isinstance(rejection(m, np.eye(max(m, 1) + 1) / (max(m, 1) + 1)), OrderTooLarge)
 
     def test_shape(self):
         for rho in (np.eye(2) / 2, np.ones(3) / 3, np.eye(3)[:, :2] / 2):
-            with pytest.raises(TgmatError, match=r"rho must be \(3, 3\)"):
-                spin_state(2, rho)
+            assert str(rejection(2, rho)).startswith("rho must be (3, 3)")
+
+    def test_not_finite(self):
+        assert isinstance(rejection(1, np.array([[np.nan, 0.0], [0.0, 0.5]])), NonFiniteValue)
+
+    def test_holds_a_read_only_copy(self):
+        rho = np.eye(2) / 2
+        st = SpinState(1, rho)
+        rho[0, 0] = 1.0
+        assert st.rho[0, 0] == 0.5 and not st.rho.flags.writeable
 
 
 class TestCoefficientTensor:
