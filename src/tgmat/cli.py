@@ -46,7 +46,9 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_vec(v) -> str:
-    return ",".join(map(_fmt, np.asarray(v, dtype=float).tolist()))
+    """The numbers of v at six decimal places, comma separated: one ``%`` call per row, the text of ``_fmt``."""
+    xs = tuple(np.asarray(v, dtype=float).tolist())
+    return ",".join(["%.6f"] * len(xs)) % xs
 
 
 def _load_state(path) -> sp.SpinState:

@@ -133,10 +133,14 @@ def _operators(t: tz.DenseTensor):
 
     d/dx of A x^{m-1} contracts all but one trailing axis; summing the
     entries with each trailing axis in turn moved next to the row axis does
-    this for every axis at once.
+    this for every axis at once.  Raises ``NonFiniteValue`` when a sum is
+    beyond the float range.
     """
     m, n = t.order, t.dim
-    B = sum(np.moveaxis(t.entries, k, 1) for k in range(1, m))
+    with np.errstate(over="ignore"):
+        B = sum(np.moveaxis(t.entries, k, 1) for k in range(1, m))
+    if not np.isfinite(B).all():
+        raise NonFiniteValue("the Newton Jacobian's tensor is beyond the float range")
     return t.entries.reshape(n, -1), B.reshape(n * n, -1)
 
 

@@ -91,7 +91,8 @@ class SpinState:
         with np.errstate(over="ignore"):
             trace = np.trace(rho)
         if not tz._within(trace, 1.0, 1e-12):
-            raise TraceNotOne(f"trace is {trace:.6g}, expected 1")
+            # the shortest text that reads back to the trace, so a trace just off 1 does not print as 1
+            raise TraceNotOne(f"trace is {str(complex(trace)).strip('()')}, expected 1")
         out = rho.copy()
         out.flags.writeable = False
         object.__setattr__(self, "rho", out)

@@ -1,7 +1,8 @@
 """Dense real tensors and the statistics behind their generated matrices.
 
-An order-m, dimension-n tensor is stored densely as an m-way numpy array of
-shape (n, ..., n).  User-facing indices are 1-based; the underlying array
+An order-m, dimension-n tensor is an m-way numpy array of shape (n, ..., n);
+a tensor built from a list of entries stores the list and builds that array
+on its first read.  User-facing indices are 1-based; the underlying array
 uses the usual 0-based numpy indexing.
 
 The central statistic is the position-weighted row sum
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -62,14 +64,19 @@ __all__ = [
 class DenseTensor:
     """Immutable order-m, dimension-n array of real entries (m >= 2).
 
-    ``_record`` holds the generated-matrix record once ``generated_matrix``
-    has built it.  ``_nonzeros`` is None for a tensor made from an array;
-    a tensor built from a list of entries holds its nonzero entries there,
-    as read-only 0-based index rows (shape (k, m)) and values, in the order
-    of their positions in the array.
+    ``entries`` is the read-only dense array.  A tensor built from a list of
+    entries (``build_tensor``, ``tensor_from_json``) stores that list: its
+    dense array is built from the list on the first read of ``entries``, so
+    a caller that reads only the generated matrix never allocates it.
+    ``_written`` holds the flat C-order positions and the values the list
+    wrote, listed zeros and -0.0 included; ``_nonzeros`` holds its nonzero
+    entries as read-only 0-based index rows (shape (k, m)) and values, in
+    the order of their positions in the array.  A tensor made from an array
+    has neither list.  ``_record`` holds the generated-matrix record once
+    ``generated_matrix`` has built it.
     """
 
-    __slots__ = ("order", "dim", "entries", "_record", "_nonzeros")
+    __slots__ = ("order", "dim", "_entries", "_written", "_nonzeros", "_record")
 
     def __init__(self, entries: np.ndarray):
         arr = np.array(entries, dtype=float)
@@ -88,9 +95,8 @@ class DenseTensor:
         arr.flags.writeable = False
         self.order = arr.ndim
         self.dim = arr.shape[0]
-        self.entries = arr
-        self._record = None
-        self._nonzeros = None
+        self._entries = arr
+        self._written = self._nonzeros = self._record = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
@@ -98,6 +104,26 @@ class DenseTensor:
         t = cls.__new__(cls)
         t._own(arr)
         return t
+
+    @classmethod
+    def _from_list(cls, order: int, dim: int, written, nonzeros) -> "DenseTensor":
+        """The tensor of checked, distinct positions and finite values, its dense array not yet built."""
+        t = cls.__new__(cls)
+        t.order, t.dim = order, dim
+        t._entries = t._record = None
+        t._written, t._nonzeros = written, nonzeros
+        return t
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The read-only dense array, built from the stored list on the first read."""
+        if self._entries is None:
+            pos, vals = self._written
+            arr = np.zeros((self.dim,) * self.order)
+            arr.flat[pos] = vals
+            arr.flags.writeable = False
+            self._entries = arr
+        return self._entries
 
     def __repr__(self) -> str:
         return f"DenseTensor(order={self.order}, dim={self.dim})"
@@ -134,12 +160,17 @@ MAX_ENTRIES = 2 ** 24
 MAX_ORDER = 32
 
 
-def _dense_zeros(order: int, dim: int) -> np.ndarray:
+def _check_size(order: int, dim: int) -> None:
+    """Refuse a tensor whose dense array would have more than MAX_ORDER axes or MAX_ENTRIES entries."""
     if order > MAX_ORDER:
         raise TgmatError(f"tensor order {order} is more than the limit of {MAX_ORDER}")
     if dim ** order > MAX_ENTRIES:
         raise TgmatError(f"a dense tensor of order {order} and dimension {dim} has "
                          f"{dim ** order} entries, more than the limit of {MAX_ENTRIES}")
+
+
+def _dense_zeros(order: int, dim: int) -> np.ndarray:
+    _check_size(order, dim)
     return np.zeros((dim,) * order)
 
 
@@ -172,10 +203,14 @@ def _integer_row(row) -> bool:
 
 
 def _well_formed(rows, order: int) -> int:
-    """Length of the longest prefix of ``rows`` whose rows are lists or tuples of ``order`` integers."""
-    shaped = [type(r) in (list, tuple) and len(r) == order for r in rows]
-    p = shaped.index(False) if False in shaped else len(rows)
-    # the component types of the whole prefix at once; a row is looked for only when one is not an integer
+    """Length of the longest prefix of ``rows`` whose rows are lists or tuples of ``order`` integers.
+
+    The types and lengths of the whole list are read at once; a row is
+    looked for one by one only when some row is faulty.
+    """
+    p = len(rows)
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {order}):
+        p = next(q for q, r in enumerate(rows) if not (type(r) in (list, tuple) and len(r) == order))
     if not all(map(_is_integer, set(map(type, itertools.chain.from_iterable(rows[:p]))))):
         p = next(q for q in range(p) if not _integer_row(rows[q]))
     return p
@@ -222,13 +257,14 @@ def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, sym
     Raises for the first row that lies outside 1..dim, repeats an earlier
     row or holds a value that is not finite, tried in that order within a
     row.  With ``symmetric`` each value is also written at every
-    permutation of its row.  The tensor keeps the nonzero entries written.
+    permutation of its row.  The tensor stores the entries written; its
+    dense array is built on the first read.
     """
     if order < 2:
         raise TgmatError("order must be at least 2")
     if dim < 1:
         raise TgmatError("dim must be at least 1")
-    arr = _dense_zeros(order, dim)
+    _check_size(order, dim)
     strides = dim ** np.arange(order - 1, -1, -1)
     inside = ((idx >= 1) & (idx <= dim)).all(axis=1)
     cols = idx - 1
@@ -240,40 +276,39 @@ def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, sym
         (repeated, lambda p: DuplicateEntry(f"index tuple {_label(rows, p)} listed twice")),
         (~np.isfinite(vals), lambda p: NonFiniteValue(f"entry {_label(rows, p)} is not finite")),
     ])
-    arr.flat[pos] = vals
     if symmetric:
         # swapping neighbouring components reaches every distinct permutation of a row; a
         # position met before is not followed again, so the work grows with the positions written
         swaps = [np.r_[:a, a + 1, a, a + 2:order] for a in range(order - 1)]
-        seen = np.zeros(arr.size, dtype=bool)
-        seen[pos] = True
+        seen = pos[by_pos]  # the positions written so far, sorted
         written = [(cols, vals, pos)]
         perms, perm_vals = cols, vals
         while len(perms):
             perms = np.concatenate([perms[:, swap] for swap in swaps])
             perm_vals = np.tile(perm_vals, order - 1)
             at = perms @ strides
-            fresh = ~seen[at] & ~_repeats(at)[1]  # one row per new position
+            met = seen[np.minimum(np.searchsorted(seen, at), len(seen) - 1)] == at
+            fresh = ~met & ~_repeats(at)[1]  # one row per new position
             perms, perm_vals, at = perms[fresh], perm_vals[fresh], at[fresh]
-            seen[at] = True
-            arr.flat[at] = perm_vals
+            seen = np.sort(np.concatenate([seen, at]))
             written.append((perms, perm_vals, at))
         cols, vals, pos = map(np.concatenate, zip(*written))
         by_pos = np.argsort(pos)
-    t = DenseTensor._wrap(arr)
     keep = by_pos[vals[by_pos] != 0.0]
-    t._nonzeros = (cols[keep], vals[keep])
-    for part in t._nonzeros:
+    written, nonzeros = (pos, vals), (cols[keep], vals[keep])
+    for part in written + nonzeros:
         part.flags.writeable = False
-    return t
+    return DenseTensor._from_list(order, dim, written, nonzeros)
 
 
 def build_tensor(order: int, dim: int, entries) -> DenseTensor:
-    """Build a dense tensor from a sparse list of (index tuple, value) pairs.
+    """Build a tensor from a sparse list of (index tuple, value) pairs.
 
     ``entries`` may be a mapping or an iterable of pairs; index tuples are
     1-based with exactly ``order`` integer components in 1..dim.  Unlisted
-    tuples are zero.  Duplicate tuples are rejected.
+    tuples are zero.  Duplicate tuples are rejected, and so is a tensor of
+    more than ``MAX_ENTRIES`` entries.  The tensor stores the list; its
+    dense array is built on the first read of ``entries``.
     """
     pairs = list(entries.items() if hasattr(entries, "items") else entries)
     rows = [idx for idx, _ in pairs]
@@ -286,9 +321,14 @@ def build_tensor(order: int, dim: int, entries) -> DenseTensor:
     return t
 
 
+def _diagonal_step(order: int, dim: int) -> int:
+    """The flat C-order distance between neighbouring diagonal tuples (i, ..., i) in an array of shape (dim,) * order."""
+    return sum(dim ** k for k in range(order))
+
+
 def _diagonal_positions(order: int, dim: int) -> np.ndarray:
     """Flat C-order positions of the diagonal tuples (i, ..., i) in an array of shape (dim,) * order."""
-    return np.arange(dim) * sum(dim ** k for k in range(order))
+    return np.arange(dim) * _diagonal_step(order, dim)
 
 
 def unit_tensor(order: int, dim: int) -> DenseTensor:
@@ -303,8 +343,16 @@ def zero_tensor(order: int, dim: int) -> DenseTensor:
 
 
 def diagonal(t: DenseTensor) -> np.ndarray:
-    """The signed diagonal entries a_{i...i} as a length-n vector."""
-    return t.entries.flat[_diagonal_positions(t.order, t.dim)]
+    """The signed diagonal entries a_{i...i} as a length-n vector, read from the entry list where the tensor has one."""
+    if t._written is None:
+        return t.entries.flat[_diagonal_positions(t.order, t.dim)]
+    # below n^m, the multiples of the step are the diagonal positions
+    pos, vals = t._written
+    step = _diagonal_step(t.order, t.dim)
+    on = pos % step == 0
+    d = np.zeros(t.dim)
+    d[pos[on] // step] = vals[on]
+    return d
 
 
 def _off_rows(t: DenseTensor):
@@ -513,8 +561,12 @@ def _file_values(raw_vals, idx: np.ndarray):
 
     Returns the values and the masks of the entries whose value is not a
     number or a pair of numbers, and of the diagonal entries with a nonzero
-    imaginary part.
+    imaginary part.  A list of plain numbers is read in one pass; values are
+    walked one by one only where some value is not a plain number.
     """
+    if set(map(type, raw_vals)) <= {int, float}:
+        clean = np.zeros(len(raw_vals), dtype=bool)
+        return _float_array(raw_vals), clean, clean
     parts = [v if type(v) in (list, tuple) and len(v) == 2 else (v, 0.0) for v in raw_vals]
     number = np.array([type(a) in (int, float) and type(b) in (int, float) for a, b in parts], dtype=bool)
     re = _float_array([a if ok else 0.0 for (a, _), ok in zip(parts, number)])
@@ -525,6 +577,18 @@ def _file_values(raw_vals, idx: np.ndarray):
     return vals, ~number, number & (im != 0.0) & diagonal
 
 
+def _entry_fields(raw_entries):
+    """The lists of each entry's 'idx' and 'val'; both are None for an entry that is not an object holding both."""
+    if set(map(type, raw_entries)) <= {dict}:
+        try:
+            return list(map(operator.itemgetter("idx"), raw_entries)), list(map(operator.itemgetter("val"), raw_entries))
+        except KeyError:
+            pass
+    pairs = [(e["idx"], e["val"]) if type(e) is dict and "idx" in e and "val" in e else (None, None)
+             for e in raw_entries]
+    return [idx for idx, _ in pairs], [val for _, val in pairs]
+
+
 def tensor_from_json(obj: dict) -> DenseTensor:
     """Parse the tensor JSON format.
 
@@ -532,7 +596,11 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     with 1-based integer indices and omitted tuples equal to zero.  With
     ``"symmetrize": true`` every listed entry is replicated over all
     permutations of its tuple; conflicting replicas are rejected.  The flag
-    must be a boolean or null.
+    must be a boolean or null.  The entry list is checked in whole-list
+    passes, and walked entry by entry only to name the first faulty entry
+    or to read [re, im] pairs.  A tensor of more than ``MAX_ENTRIES``
+    entries is refused here; the tensor stores the entries written, and
+    its dense array is built on the first read of ``entries``.
     """
     try:
         order, dim = _int_field(obj, "order"), _int_field(obj, "dim")
@@ -542,15 +610,13 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     symmetrize = obj.get("symmetrize")
     if not (symmetrize is None or type(symmetrize) is bool):  # a null one means the same as leaving it out
         raise TgmatError(f"tensor file's 'symmetrize' must be true, false or null, got {type(symmetrize).__name__}")
-    pairs = [(e["idx"], e["val"]) if type(e) is dict and "idx" in e and "val" in e else (None, None)
-             for e in raw_entries]
-    rows = [idx for idx, _ in pairs]
+    rows, raw_vals = _entry_fields(raw_entries)
     p = _well_formed(rows, order)
     idx = _index_array(rows[:p], order)
-    vals, not_number, complex_diagonal = _file_values([val for _, val in pairs[:p]], idx)
+    vals, not_number, complex_diagonal = _file_values(raw_vals[:p], idx)
     _raise_first([
         (not_number, lambda q: TgmatError(f"entry {_label(rows, q)}: value must be a number or an [re, im] pair"
-                                          + (", not a boolean" if _has_boolean(pairs[q][1]) else ""))),
+                                          + (", not a boolean" if _has_boolean(raw_vals[q]) else ""))),
         (complex_diagonal, lambda q: ComplexDiagonal(f"diagonal entry {_label(rows, q)} must be real")),
     ])
     if p < len(rows):

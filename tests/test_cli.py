@@ -258,7 +258,8 @@ class TestCertify:
 
 
 class TestFileTensorsReadTheNonzeros:
-    """certify and gen-matrix on a tensor file sum the loader's nonzeros and never read a row of the dense array."""
+    """certify and gen-matrix on a tensor file sum the loader's nonzeros and never read a row of the dense array;
+    they, bounds and region-grid never build it."""
 
     @pytest.fixture(autouse=True)
     def dense_rows_refused(self, monkeypatch):
@@ -276,6 +277,23 @@ class TestFileTensorsReadTheNonzeros:
         code, out, err = run(capsys, command, "--input", p)
         assert code == 0 and err == "" and len(calls) == 1
         assert command == "gen-matrix" or "scaling,none" not in out  # the scaling was re-checked
+
+    @pytest.mark.parametrize("argv", [["certify"], ["gen-matrix"], ["bounds"], ["region-grid", "--grid=-1:60:-3:3:20:10"]])
+    def test_sparse_file_never_builds_the_dense_array(self, capsys, tmp_path, argv):
+        # order 6, dim 16: n^m = 2^24 = MAX_ENTRIES, 128 MiB as a dense array, from 120 entries
+        rng = np.random.default_rng(28)
+        entries = {(i,) * 6: 50.0 for i in range(1, 17)}
+        while len(entries) < 120:
+            entries[tuple(rng.integers(1, 17, 6).tolist())] = float(rng.uniform(-1.0, 1.0))
+        p = write_tensor(tmp_path / "sparse.json", 6, 16, entries)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--input", p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out and err == ""
+        assert peak < 8 * 2 ** 20
 
     @pytest.mark.parametrize("command", ["gen-matrix", "certify"])
     def test_shuffled_file_prints_the_same_bytes(self, capsys, tmp_path, command):
@@ -476,6 +494,9 @@ class TestOracle:
         # the polish of the real roots near 1e153 overflows; the call ends in one data error, with no warning
         (4, 2, {(1, 1, 2, 2): 3, (1, 2, 1, 1): 1e155, (2, 1, 1, 2): -1e308, (2, 2, 2, 2): 1e308}, 65, "",
          "tgmat: data error: an H-eigenvalue is beyond the float range\n"),
+        # the Newton Jacobian's tensor sums a_111 three times: beyond the float range
+        (3, 3, {(1, 1, 1): 1e308, (2, 2, 2): 1e308, (3, 3, 3): 1e308, (1, 2, 3): 1e308}, 65, "",
+         "tgmat: data error: the Newton Jacobian's tensor is beyond the float range\n"),
         # singular Newton Jacobians at subnormal entries, found by the slogdet fallback
         (2, 3, {(1, 1): -5e-324, (2, 2): 0, (3, 3): -5e-324}, 0, "lambda,residual\n-0.000000,0.000000e+00\n", ""),
     ])

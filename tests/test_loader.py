@@ -2,9 +2,13 @@
 
 Well-formed lists load bit-identically to ``conftest.reference_tensor_from_json``
 and ``conftest.reference_build_tensor``; malformed ones raise the same error
-class naming the same first bad entry.
+class naming the same first bad entry.  A tensor written to a file and read
+back builds the array it came from, and its diagonal is the same read from
+the stored list or from the array.
 """
 
+import itertools
+import json
 import math
 import re
 
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_build_tensor, reference_tensor_from_json
 from tgmat.errors import IndexOutOfRange, TgmatError
-from tgmat.tensor import MAX_ORDER, build_tensor, tensor_from_json
+from tgmat.tensor import MAX_ORDER, DenseTensor, build_tensor, diagonal, load_tensor, tensor_from_json
 
 LOADER_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -118,6 +122,38 @@ class TestMatchesReference:
             t = tensor_from_json(obj)
             assert t.entries.tobytes() == reference_tensor_from_json(obj).entries.tobytes()
             assert math.copysign(1.0, t.entries[1, 0]) == math.copysign(1.0, last)
+
+
+@st.composite
+def arrays(draw):
+    """A tensor's array, mostly zeros and sometimes symmetric, and whether its file is symmetrized."""
+    order, dim = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    symmetrize = draw(st.booleans())
+    value = st.one_of(st.just(0.0), FLOATS)
+    arr = np.zeros((dim,) * order)
+    by_class = {}
+    for tup in itertools.product(range(dim), repeat=order):
+        arr[tup] = by_class.setdefault(tuple(sorted(tup)), draw(value)) if symmetrize else draw(value)
+    return arr, symmetrize
+
+
+class TestRoundTrip:
+    @LOADER_SETTINGS
+    @given(arrays())
+    def test_written_file_reads_back_bit_identically(self, tmp_path_factory, drawn):
+        arr, symmetrize = drawn
+        listed = [(tup, float(arr[tup])) for tup in itertools.product(range(arr.shape[0]), repeat=arr.ndim)
+                  if arr[tup] != 0.0 or math.copysign(1.0, arr[tup]) < 0.0]
+        # a symmetrized file lists one tuple of each class
+        written = [(tup, v) for tup, v in listed if not symmetrize or list(tup) == sorted(tup)]
+        path = tmp_path_factory.mktemp("roundtrip") / "t.json"
+        path.write_text(json.dumps({"order": arr.ndim, "dim": arr.shape[0], "symmetrize": symmetrize,
+                                    "entries": [{"idx": [k + 1 for k in tup], "val": v} for tup, v in written]}))
+        t = load_tensor(path)
+        built = build_tensor(arr.ndim, arr.shape[0], [(tuple(k + 1 for k in tup), v) for tup, v in listed])
+        before = diagonal(t).tobytes()
+        assert t.entries.tobytes() == arr.tobytes() == built.entries.tobytes() and t.entries.shape == arr.shape
+        assert diagonal(t).tobytes() == before == diagonal(DenseTensor(arr)).tobytes() == diagonal(built).tobytes()
 
 
 class TestIntegerFields:

@@ -110,6 +110,11 @@ class TestStateValidation:
     def test_trace(self):
         assert isinstance(rejection(1, np.eye(2)), TraceNotOne)
 
+    def test_trace_just_off_one_is_named(self):
+        # 1e-11 off: beyond the 1e-12 tolerance, but within six significant digits of 1
+        err = rejection(2, np.diag([0.5, 0.25, 0.25000000001]))
+        assert isinstance(err, TraceNotOne) and str(err) == "trace is 1.00000000001+0j, expected 1"
+
     def test_order_range(self):
         for m in (0, 9):
             assert isinstance(rejection(m, np.eye(max(m, 1) + 1) / (max(m, 1) + 1)), OrderTooLarge)
