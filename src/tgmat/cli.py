@@ -112,8 +112,7 @@ def cmd_certify(args) -> int:
 
 def _bounds_rows(t, kinds, gammas, subset):
     specs = [(kind, g, subset if kind == "stype" else None)
-             for kind in kinds if kind != "stype" or subset is not None
-             for g in (gammas if kind in ("ostrowski", "gammamix") else [None])]
+             for kind in kinds for g in (gammas if kind in ("ostrowski", "gammamix") else [None])]
     bounds = reg.real_bounds([reg.build_region(t, kind, gamma=g, subset=sub) for kind, g, sub in specs])
     out = ["kind,gamma,subset,lower,upper"]
     for (kind, g, sub), rb in zip(specs, bounds):
@@ -125,13 +124,14 @@ def _bounds_rows(t, kinds, gammas, subset):
 
 def cmd_bounds(args) -> int:
     t = tz.load_tensor(args.input)
-    kinds = args.kind or list(reg.KINDS)
     gammas = args.gamma or list(DEFAULT_GAMMAS)
     if args.subset is not None:
         subset = tuple(args.subset)
     else:
         # the default S = {1, 2} only applies where it is a proper subset
         subset = DEFAULT_SUBSET if t.dim > 2 else None
+    # the default rows skip stype where no subset applies; a stype row asked for needs one
+    kinds = args.kind or [kind for kind in reg.KINDS if kind != "stype" or subset is not None]
     _emit(_bounds_rows(t, kinds, gammas, subset), args.output)
     return EXIT_OK
 

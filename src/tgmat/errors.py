@@ -61,6 +61,10 @@ class TraceNotOne(TgmatError):
     """Density matrix trace differs from one."""
 
 
+class NotPositiveSemidefinite(TgmatError):
+    """Density matrix has a negative eigenvalue."""
+
+
 class WeightMismatch(TgmatError):
     """Mixture weights must be positive, sum to one, and match the directions."""
 

@@ -29,6 +29,7 @@ from .errors import (
     BadIndex,
     NonFiniteValue,
     NonHermitian,
+    NotPositiveSemidefinite,
     OrderTooLarge,
     TgmatError,
     TraceNotOne,
@@ -68,8 +69,9 @@ class SpinState:
     """Spin-j density matrix in the Dicke basis; ``m`` = 2j, ``rho`` is (m+1)x(m+1).
 
     Validated where it is built: m must lie in 1..MAX_ORDER (OrderTooLarge),
-    rho must have that shape (TgmatError), be finite (NonFiniteValue), and be
-    Hermitian (NonHermitian) and of trace 1 (TraceNotOne), each to 1e-12.
+    rho must have that shape (TgmatError), be finite (NonFiniteValue), be
+    Hermitian (NonHermitian) and of trace 1 (TraceNotOne), each to 1e-12, and
+    positive semidefinite (NotPositiveSemidefinite) to that slack and rounding.
     ``rho`` is held as a read-only complex copy, so every instance is a
     valid state.
     """
@@ -93,6 +95,11 @@ class SpinState:
         if not tz._within(trace, 1.0, 1e-12):
             # the shortest text that reads back to the trace, so a trace just off 1 does not print as 1
             raise TraceNotOne(f"trace is {str(complex(trace)).strip('()')}, expected 1")
+        # Weyl: a 1e-12 slack in each entry moves the eigenvalues by at most (m+1) 1e-12, and eigvalsh's error is
+        # a small multiple of eps times the norm, at most m+1 where every |rho_ij| <= 1, as in a state
+        lowest = np.linalg.eigvalsh(0.5 * rho + 0.5 * rho.conj().T)[0]
+        if not lowest >= -(m + 1) * (1e-12 + 4 * (m + 1) * np.finfo(float).eps):  # nor a NaN, from an overflow
+            raise NotPositiveSemidefinite(f"rho is not positive semidefinite: it has the eigenvalue {lowest:.6g}")
         out = rho.copy()
         out.flags.writeable = False
         object.__setattr__(self, "rho", out)

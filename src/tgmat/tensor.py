@@ -1,9 +1,9 @@
 """Dense real tensors and the statistics behind their generated matrices.
 
 An order-m, dimension-n tensor is an m-way numpy array of shape (n, ..., n);
-a tensor built from a list of entries stores the list and builds that array
-on its first read.  User-facing indices are 1-based; the underlying array
-uses the usual 0-based numpy indexing.
+a tensor built from a list of entries stores the list, as sorted index rows,
+and builds that array on its first read.  User-facing indices are 1-based;
+the stored rows and the underlying array are 0-based, as numpy indexes.
 
 The central statistic is the position-weighted row sum
 
@@ -16,8 +16,8 @@ diagonal; its deleted row and column sums (P_i, Q_i) drive the dominance
 tests and the eigenvalue inclusion regions, and the deleted row sum of the
 tensor itself satisfies r_i = s_ii + P_i.  The tensor's digraph has an edge
 i -> j (i != j) where (m-1) s_ij, the sum, is nonzero.  ``generated_matrix``
-builds this record in one pass over the rows of |A| on its first call for a
-tensor and keeps it on the tensor.
+builds this record on its first call for a tensor, from the stored list or
+in one pass over the rows of |A|, and keeps it on the tensor.
 """
 
 from __future__ import annotations
@@ -65,18 +65,17 @@ class DenseTensor:
     """Immutable order-m, dimension-n array of real entries (m >= 2).
 
     ``entries`` is the read-only dense array.  A tensor built from a list of
-    entries (``build_tensor``, ``tensor_from_json``) stores that list: its
-    dense array is built from the list on the first read of ``entries``, so
-    a caller that reads only the generated matrix never allocates it.
-    ``_written`` holds the flat C-order positions and the values the list
-    wrote, listed zeros and -0.0 included; ``_nonzeros`` holds its nonzero
-    entries as read-only 0-based index rows (shape (k, m)) and values, in
-    the order of their positions in the array.  A tensor made from an array
-    has neither list.  ``_record`` holds the generated-matrix record once
-    ``generated_matrix`` has built it.
+    entries (``build_tensor``, ``tensor_from_json``, ``unit_tensor``,
+    ``zero_tensor``) stores that list: its dense array is built from the
+    list on the first read of ``entries``, so a caller that reads only the
+    generated matrix or the diagonal never allocates it.  ``_written`` holds
+    the list as read-only 0-based index rows (shape (k, m)) and their
+    values, sorted by position in the array, listed zeros and -0.0
+    included; a tensor made from an array has no list.  ``_record`` holds
+    the generated-matrix record once ``generated_matrix`` has built it.
     """
 
-    __slots__ = ("order", "dim", "_entries", "_written", "_nonzeros", "_record")
+    __slots__ = ("order", "dim", "_entries", "_written", "_record")
 
     def __init__(self, entries: np.ndarray):
         arr = np.array(entries, dtype=float)
@@ -96,7 +95,7 @@ class DenseTensor:
         self.order = arr.ndim
         self.dim = arr.shape[0]
         self._entries = arr
-        self._written = self._nonzeros = self._record = None
+        self._written = self._record = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
@@ -106,21 +105,21 @@ class DenseTensor:
         return t
 
     @classmethod
-    def _from_list(cls, order: int, dim: int, written, nonzeros) -> "DenseTensor":
-        """The tensor of checked, distinct positions and finite values, its dense array not yet built."""
+    def _from_list(cls, order: int, dim: int, written) -> "DenseTensor":
+        """The tensor of checked, distinct, sorted index rows and finite values, its dense array not yet built."""
         t = cls.__new__(cls)
         t.order, t.dim = order, dim
         t._entries = t._record = None
-        t._written, t._nonzeros = written, nonzeros
+        t._written = written
         return t
 
     @property
     def entries(self) -> np.ndarray:
         """The read-only dense array, built from the stored list on the first read."""
         if self._entries is None:
-            pos, vals = self._written
+            cols, vals = self._written
             arr = np.zeros((self.dim,) * self.order)
-            arr.flat[pos] = vals
+            arr[tuple(cols.T)] = vals
             arr.flags.writeable = False
             self._entries = arr
         return self._entries
@@ -167,11 +166,6 @@ def _check_size(order: int, dim: int) -> None:
     if dim ** order > MAX_ENTRIES:
         raise TgmatError(f"a dense tensor of order {order} and dimension {dim} has "
                          f"{dim ** order} entries, more than the limit of {MAX_ENTRIES}")
-
-
-def _dense_zeros(order: int, dim: int) -> np.ndarray:
-    _check_size(order, dim)
-    return np.zeros((dim,) * order)
 
 
 def _is_integer(kind: type) -> bool:
@@ -223,7 +217,7 @@ def _index_array(rows, order: int) -> np.ndarray:
         idx = np.fromiter(flat, np.int64, len(rows) * order)
     except OverflowError:
         idx = np.array([k if abs(k) < 2 ** 62 else 0 for r in rows for k in r], dtype=np.int64)
-    return idx.reshape(len(rows), order)
+    return idx.reshape(len(rows), max(order, 0))  # no row is well formed below order 0; _assemble refuses it
 
 
 def _float_array(xs) -> np.ndarray:
@@ -257,8 +251,8 @@ def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, sym
     Raises for the first row that lies outside 1..dim, repeats an earlier
     row or holds a value that is not finite, tried in that order within a
     row.  With ``symmetric`` each value is also written at every
-    permutation of its row.  The tensor stores the entries written; its
-    dense array is built on the first read.
+    permutation of its row.  The tensor stores the entries written, sorted
+    by position; its dense array is built on the first read.
     """
     if order < 2:
         raise TgmatError("order must be at least 2")
@@ -294,11 +288,9 @@ def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, sym
             written.append((perms, perm_vals, at))
         cols, vals, pos = map(np.concatenate, zip(*written))
         by_pos = np.argsort(pos)
-    keep = by_pos[vals[by_pos] != 0.0]
-    written, nonzeros = (pos, vals), (cols[keep], vals[keep])
-    for part in written + nonzeros:
-        part.flags.writeable = False
-    return DenseTensor._from_list(order, dim, written, nonzeros)
+    cols, vals = cols[by_pos], vals[by_pos]
+    cols.flags.writeable = vals.flags.writeable = False
+    return DenseTensor._from_list(order, dim, (cols, vals))
 
 
 def build_tensor(order: int, dim: int, entries) -> DenseTensor:
@@ -321,37 +313,28 @@ def build_tensor(order: int, dim: int, entries) -> DenseTensor:
     return t
 
 
-def _diagonal_step(order: int, dim: int) -> int:
-    """The flat C-order distance between neighbouring diagonal tuples (i, ..., i) in an array of shape (dim,) * order."""
-    return sum(dim ** k for k in range(order))
-
-
 def _diagonal_positions(order: int, dim: int) -> np.ndarray:
     """Flat C-order positions of the diagonal tuples (i, ..., i) in an array of shape (dim,) * order."""
-    return np.arange(dim) * _diagonal_step(order, dim)
+    return np.arange(dim) * sum(dim ** k for k in range(order))
 
 
 def unit_tensor(order: int, dim: int) -> DenseTensor:
     """Tensor with ones on the diagonal tuples and zeros elsewhere."""
-    arr = _dense_zeros(order, dim)
-    arr.flat[_diagonal_positions(order, dim)] = 1.0
-    return DenseTensor(arr)
+    return build_tensor(order, dim, [((i,) * order, 1.0) for i in range(1, dim + 1)])
 
 
 def zero_tensor(order: int, dim: int) -> DenseTensor:
-    return DenseTensor(_dense_zeros(order, dim))
+    return build_tensor(order, dim, [])
 
 
 def diagonal(t: DenseTensor) -> np.ndarray:
     """The signed diagonal entries a_{i...i} as a length-n vector, read from the entry list where the tensor has one."""
     if t._written is None:
         return t.entries.flat[_diagonal_positions(t.order, t.dim)]
-    # below n^m, the multiples of the step are the diagonal positions
-    pos, vals = t._written
-    step = _diagonal_step(t.order, t.dim)
-    on = pos % step == 0
+    cols, vals = t._written
+    on = (cols == cols[:, :1]).all(axis=1)
     d = np.zeros(t.dim)
-    d[pos[on] // step] = vals[on]
+    d[cols[on, 0]] = vals[on]
     return d
 
 
@@ -377,8 +360,11 @@ def _sum_by(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 
 def _off_entries(t: DenseTensor):
-    """The nonzero list's entries off the diagonal tuples: their rows, trailing index columns (shape (k, m - 1)) and moduli."""
-    cols, vals = t._nonzeros
+    """The entry list's entries off the diagonal tuples: their rows, trailing index columns (shape (k, m - 1)) and moduli.
+
+    A listed zero's modulus, alone or times a finite y, adds +0.0 to sums of nonnegative terms, changing none.
+    """
+    cols, vals = t._written
     off = (cols != cols[:, :1]).any(axis=1)
     return cols[off, 0], cols[off, 1:], np.abs(vals[off])
 
@@ -386,11 +372,11 @@ def _off_entries(t: DenseTensor):
 def _row_pass(t: DenseTensor):
     """The deleted row sums r, and (m - 1) s_ij before the division.
 
-    Summed from the nonzero list, in the order of the positions, where the
+    Summed from the entry list, in the order of the positions, where the
     tensor has one; otherwise from each |A[i]| taken once.
     """
     m, n = t.order, t.dim
-    if t._nonzeros is not None:
+    if t._written is not None:
         rows, trailing, moduli = _off_entries(t)
         keys = (rows[:, None] * n + trailing).ravel()
         return _sum_by(rows, moduli, n), _sum_by(keys, np.repeat(moduli, m - 1), n * n).reshape(n, n)
@@ -407,12 +393,12 @@ def _row_pass(t: DenseTensor):
 def _off_mass(t: DenseTensor, y: np.ndarray) -> np.ndarray:
     """Each row's off-diagonal mass at y > 0: sum |a_{i i2...im}| y_{i2}...y_{im} over the tuples other than (i, ..., i).
 
-    Read from the nonzero list where the tensor has one, and otherwise one
+    Read from the entry list where the tensor has one, and otherwise one
     row of |A| at a time, so that no copy of the whole tensor is made.  A
     mass beyond the float range is inf, with no warning.
     """
     with np.errstate(over="ignore"):
-        if t._nonzeros is None:
+        if t._written is None:
             return np.array([_contract(row.reshape(1, -1), y[None], t.order - 1)[0, 0] for row in _off_rows(t)])
         rows, trailing, terms = _off_entries(t)
         for col in trailing.T[::-1]:  # the last index first, as _contract takes them

@@ -10,7 +10,7 @@ from tgmat.errors import ComplexDiagonal, DuplicateEntry, IndexOutOfRange, NonFi
 from tgmat.oracle import _dedupe, _finish_pair
 from tgmat.regions import RealBounds
 from tgmat.spin import PAULI, dicke_isometry, spin_state
-from tgmat.tensor import DenseTensor, _dense_zeros, build_tensor, contract, generated_matrix
+from tgmat.tensor import DenseTensor, _check_size, build_tensor, contract, generated_matrix
 
 # order 4, dimension 2; generated matrix [[3, 3], [3, 4]]
 ENTRIES_42 = {
@@ -197,7 +197,8 @@ def reference_build_tensor(order, dim, entries):
         raise TgmatError("order must be at least 2")
     if dim < 1:
         raise TgmatError("dim must be at least 1")
-    arr = _dense_zeros(order, dim)
+    _check_size(order, dim)
+    arr = np.zeros((dim,) * order)
     seen = set()
     for idx, val in entries.items() if hasattr(entries, "items") else entries:
         idx = tuple(int(k) for k in idx)

@@ -29,6 +29,8 @@ from tgmat.errors import TgmatError
 from tgmat.oracle import h_eigen_newton
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# the message for the finite, Hermitian, unit-trace matrices with off-diagonal entries of 1e308 below
+NOT_PSD = "rho is not positive semidefinite: it has the eigenvalue -1e+308"
 
 
 def module_env():
@@ -333,6 +335,11 @@ class TestBounds:
         assert "stype" not in out
         for kind in ("gershgorin", "cassini", "ostrowski", "gammamix", "ssingleton"):
             assert kind in out
+
+    @pytest.mark.parametrize("argv", [["bounds", "--kind", "gershgorin", "--kind", "stype"],
+                                      ["region-grid", "--kind", "stype", "--grid=0:1:0:1:2:2"]])
+    def test_stype_asked_for_on_dim2_without_a_subset_is_data_error(self, capsys, f42, argv):
+        assert run(capsys, *argv, "--input", f42) == (65, "", "tgmat: data error: stype needs a subset\n")
 
     def test_demo_44_table(self, capsys, f44):
         code, out, _ = run(capsys, "bounds", "--input", f44)
@@ -645,24 +652,33 @@ class TestSpinCommands:
         ('{"m": 1, "rho_re": [[1e308, 0], [0, 1e308]]}', "trace is inf+0j, expected 1"),
         ('{"m": 2, "components": [{"w": 1e308, "theta": 0.1, "phi": 0.2}, {"w": 1e308, "theta": 0.3, "phi": 0.2}]}',
          "weights sum to inf, expected 1"),
-        # finite states whose coefficient tensor or reconstruction overflows; spin-certify
-        # stops first at the generated matrix's row sums where the tensor itself is finite
-        ('{"m": 2, "rho_re": [[0.5, 1e308, 0], [1e308, 0.5, 0], [0, 0, 0]]}',
-         {"spin-certify": "a row or column sum of the tensor's moduli is beyond the float range",
-          "spin-roundtrip": "the reconstructed state is beyond the float range"}),
+        # finite Hermitian matrices of trace 1 whose coefficient tensor or reconstruction would
+        # overflow: they are not positive semidefinite, so they are not states
+        ('{"m": 2, "rho_re": [[0.5, 1e308, 0], [1e308, 0.5, 0], [0, 0, 0]]}', NOT_PSD),
         ('{"m": 4, "rho_re": [[0.5, 0, 0, 0, 1e308], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0], '
-         '[1e308, 0, 0, 0, 0.5]]}', "the coefficient tensor is beyond the float range"),
+         '[1e308, 0, 0, 0, 0.5]]}', NOT_PSD),
         ('{"m": 2, "rho_re": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]], "rho_im": [[0, 1e308, 0], [-1e308, 0, 0], [0, 0, 0]]}',
-         {"spin-certify": "a row or column sum of the tensor's moduli is beyond the float range",
-          "spin-roundtrip": "the reconstructed state is beyond the float range"}),
+         NOT_PSD),
     ])
     def test_non_finite_or_overflowing_state_is_data_error(self, capsys, tmp_path, text, message, command):
         p = tmp_path / "state.json"
         p.write_text(text)
-        if isinstance(message, dict):
-            message = message[command]
         # a RuntimeWarning fails the test
         assert run(capsys, command, "--input", str(p)) == (65, "", f"tgmat: data error: {message}\n")
+
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_hermitian_unit_trace_matrix_that_is_not_psd_is_data_error(self, capsys, tmp_path, m, scale):
+        rng = np.random.default_rng(m)
+        X = rng.standard_normal((m + 1, m + 1)) + 1j * rng.standard_normal((m + 1, m + 1))
+        rho = scale * (X + X.conj().T)
+        np.fill_diagonal(rho, 1.0 / (m + 1))
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"m": m, "rho_re": rho.real.tolist(), "rho_im": rho.imag.tolist()}))
+        for command in ("spin-certify", "spin-roundtrip"):
+            code, out, err = run(capsys, command, "--input", str(p))
+            assert (code, out) == (65, "") and err.count("\n") == 1
+            assert err.startswith("tgmat: data error: rho is not positive semidefinite: it has the eigenvalue -")
 
     def test_spin_roundtrip(self, capsys, tmp_path):
         p = tmp_path / "state.json"

@@ -369,15 +369,21 @@ def test_symmetry_class_matches_the_index_set_reference(t, random, k):
 @st.composite
 def entry_lists(draw):
     """A tensor JSON object of order 2-6 listing distinct tuples, among them explicit zeros
-    and -0.0, and sometimes symmetrized with one listed tuple per class; half of them list
-    every diagonal tuple with a value up to 1e5, so that the cascade certifies some."""
+    and -0.0 on and off the diagonal, and sometimes symmetrized with one listed tuple per
+    class; half of them list every diagonal tuple with a value up to 1e5, so that the
+    cascade certifies some."""
     m = draw(st.integers(2, 6))
     n = draw(st.integers(1, {2: 6, 3: 5, 4: 4}.get(m, 3)))
-    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+    zero = st.sampled_from([0.0, -0.0])
+    value = st.one_of(zero, st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
     entries = {tuple(int(k) + 1 for k in np.unravel_index(p, (n,) * m)): draw(value)
                for p in sorted(draw(st.sets(st.integers(0, n ** m - 1), max_size=40)))}
     if draw(st.booleans()):
         entries.update({(i,) * m: draw(st.floats(1.0, 1e5)) for i in range(1, n + 1)})
+    if draw(st.booleans()):
+        entries[(draw(st.integers(1, n)),) * m] = draw(zero)
+    if n > 1 and draw(st.booleans()):
+        entries[tuple(draw(st.permutations([1, 2] + [draw(st.integers(1, n)) for _ in range(m - 2)])))] = draw(zero)
     symmetrize = draw(st.booleans())
     if symmetrize:
         classes = {}
@@ -393,6 +399,14 @@ def entry_lists(draw):
 def test_record_from_the_nonzeros_matches_the_dense_walk(obj):
     t = tensor_from_json(obj)
     G, D = generated_matrix(t), generated_matrix(DenseTensor(t.entries))
+    # the stored list keeps its listed zeros: the record is the one of the list without them, bit for bit
+    u = tensor_from_json(dict(obj, entries=[e for e in obj["entries"] if e["val"] != 0.0]))
+    for field in ("data", "diag_abs", "S", "s_diag", "P", "Q", "r", "edges"):
+        assert getattr(G, field).tobytes() == getattr(generated_matrix(u), field).tobytes(), field
+    got, want = certify_h_tensor(t), certify_h_tensor(u)
+    assert (got.verdict, got.rule, got.gamma, got.note) == (want.verdict, want.rule, want.gamma, want.note)
+    for a, b in ((got.scaling, want.scaling), (got.residuals, want.residuals)):
+        assert (a is None) == (b is None) and (a is None or a.tobytes() == b.tobytes())
     # k: a row's terms, each counted once per trailing position, and the n sums of P and Q
     nz = np.argwhere(t.entries != 0.0)
     nz = nz[(nz != nz[:, :1]).any(axis=1)]
@@ -400,7 +414,7 @@ def test_record_from_the_nonzeros_matches_the_dense_walk(obj):
     for got, want, rel in ((G.r, D.r, tol), (G.S, D.S, tol[:, None]), (G.P, D.P, tol), (G.Q, D.Q, tol.max())):
         assert np.all(np.abs(got - want) <= rel * np.abs(want))
     assert np.all(np.abs(G.data - D.data) <= tol[:, None] * (G.S + np.diag(G.diag_abs)))
-    assert np.array_equal(G.edges, D.edges) and np.array_equal(G.diagonal, D.diagonal)
+    assert np.array_equal(G.edges, D.edges) and G.diagonal.tobytes() == D.diagonal.tobytes()
 
 
 @PROPERTY_SETTINGS

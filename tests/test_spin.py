@@ -10,6 +10,7 @@ from tgmat.errors import (
     BadIndex,
     NonFiniteValue,
     NonHermitian,
+    NotPositiveSemidefinite,
     OrderTooLarge,
     TgmatError,
     TraceNotOne,
@@ -109,6 +110,12 @@ class TestStateValidation:
 
     def test_trace(self):
         assert isinstance(rejection(1, np.eye(2)), TraceNotOne)
+
+    def test_not_positive_semidefinite(self):
+        err = rejection(2, np.diag([1.5, -0.25, -0.25]))
+        assert isinstance(err, NotPositiveSemidefinite) and str(err).endswith("it has the eigenvalue -0.25")
+        # within the slack of 3 (1e-12 + 12 eps): a pure state given to 12 digits still loads
+        spin_state(2, np.diag([1.0 + 1e-12, -1e-12, 0.0]))
 
     def test_trace_just_off_one_is_named(self):
         # 1e-11 off: beyond the 1e-12 tolerance, but within six significant digits of 1

@@ -74,10 +74,14 @@ class TestBuild:
             DenseTensor(entries)
 
     def test_order_and_dim_floors(self):
+        for make in (build_tensor, unit_tensor, zero_tensor):
+            for order in (1, 0, -1):
+                with pytest.raises(TgmatError, match="order must be at least 2"):
+                    make(order, 2, {}) if make is build_tensor else make(order, 2)
+            with pytest.raises(TgmatError, match="dim must be at least 1"):
+                make(2, 0, {}) if make is build_tensor else make(2, -1)
         with pytest.raises(TgmatError, match="order must be at least 2"):
-            build_tensor(1, 2, {})
-        with pytest.raises(TgmatError, match="dim must be at least 1"):
-            build_tensor(2, 0, {})
+            tensor_from_json({"order": -1, "dim": 2, "entries": []})
 
     def test_dense_size_limit(self):
         for make in (lambda: build_tensor(30, 10, {}), lambda: unit_tensor(30, 10), lambda: zero_tensor(30, 10)):
@@ -85,28 +89,33 @@ class TestBuild:
                 make()
 
 
-class TestNonzeroList:
-    """A tensor built from entries keeps its nonzeros, sorted by position, and its record is summed from them."""
+class TestEntryList:
+    """A tensor built from entries keeps them as one list, sorted by position, and its record is summed from it."""
 
-    def test_list_is_sorted_without_zeros(self):
+    def test_list_is_sorted_and_keeps_zeros(self):
         t = build_tensor(3, 2, [((2, 1, 1), 4.0), ((1, 2, 2), 0.0), ((1, 1, 2), -3.0), ((2, 2, 1), -0.0), ((1, 1, 1), 1.0)])
-        cols, vals = t._nonzeros
-        assert cols.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 0]] and vals.tolist() == [1.0, -3.0, 4.0]
-        for part in t._nonzeros:
+        cols, vals = t._written
+        assert cols.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
+        assert vals.tolist() == [1.0, -3.0, 0.0, 4.0, 0.0] and np.signbit(vals).tolist() == [False, True, False, False, True]
+        for part in t._written:
             with pytest.raises(ValueError):
                 part[0] = 0
 
     def test_symmetrized_list_holds_every_permutation(self):
         t = tensor_from_json({"order": 3, "dim": 3, "symmetrize": True, "entries": [
             {"idx": [3, 1, 2], "val": 2.0}, {"idx": [1, 1, 2], "val": -1.0}, {"idx": [2, 2, 2], "val": 0.0}]})
-        cols, vals = t._nonzeros
+        cols, vals = t._written
         pos = np.ravel_multi_index(tuple(cols.T), t.entries.shape)
-        assert np.array_equal(pos, np.flatnonzero(t.entries)) and np.array_equal(vals, t.entries.flat[pos])
-        assert len(pos) == 6 + 3
+        assert np.all(np.diff(pos) > 0) and np.array_equal(vals, t.entries.flat[pos])
+        assert np.array_equal(pos[vals != 0.0], np.flatnonzero(t.entries)) and len(pos) == 6 + 3 + 1
+        assert cols[vals == 0.0].tolist() == [[1, 1, 1]]
 
     def test_array_made_tensors_have_no_list(self, t42):
-        made = [DenseTensor(t42.entries), unit_tensor(3, 2), zero_tensor(2, 2), scale_tensor(t42, np.ones(2))]
-        assert all(t._nonzeros is None for t in made)
+        assert all(t._written is None for t in (DenseTensor(t42.entries), scale_tensor(t42, np.ones(2))))
+        unit, zero = unit_tensor(3, 2), zero_tensor(2, 2)
+        assert unit._written[0].tolist() == [[0, 0, 0], [1, 1, 1]] and unit._written[1].tolist() == [1.0, 1.0]
+        assert zero._written[0].shape == (0, 2) and zero._written[1].shape == (0,)
+        assert np.array_equal(unit.entries, np.einsum("ij,jk->ijk", np.eye(2), np.eye(2))) and not zero.entries.any()
 
     def test_overflow_on_the_dense_walk_refused(self):
         t = DenseTensor(build_tensor(3, 2, {(1, 1, 2): 1e308, (1, 2, 2): 1e308}).entries)
