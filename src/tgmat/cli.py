@@ -130,8 +130,9 @@ def cmd_bounds(args) -> int:
     else:
         # the default S = {1, 2} only applies where it is a proper subset
         subset = DEFAULT_SUBSET if t.dim > 2 else None
-    # the default rows skip stype where no subset applies; a stype row asked for needs one
-    kinds = args.kind or [kind for kind in reg.KINDS if kind != "stype" or subset is not None]
+    # the default rows skip stype where no subset applies, and the pair kinds below dimension 2; asked for, each exits 65
+    kinds = args.kind or [kind for kind in reg.KINDS
+                          if (kind != "stype" or subset is not None) and (t.dim > 1 or kind not in reg._PAIR_KINDS)]
     _emit(_bounds_rows(t, kinds, gammas, subset), args.output)
     return EXIT_OK
 

@@ -62,6 +62,8 @@ PAULI = np.array([
 ], dtype=complex)
 # the Pauli table by site: _SITE[mu, 2 r + c] = sigma_mu[r, c]
 _SITE = PAULI.reshape(4, 4)
+# the slack of a state's Hermitian, trace and PSD tests, and of a mixture's weight sum
+_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,17 +90,17 @@ class SpinState:
             raise TgmatError(f"rho must be {(m + 1, m + 1)}, got {rho.shape}")
         if not np.isfinite(rho).all():
             raise NonFiniteValue("rho has an entry that is not finite")
-        if not tz._within(rho, rho.conj().T, 1e-12):
-            raise NonHermitian("rho is not Hermitian to 1e-12")
+        if not tz._within(rho, rho.conj().T, _SLACK):
+            raise NonHermitian(f"rho is not Hermitian to {_SLACK:g}")
         with np.errstate(over="ignore"):
             trace = np.trace(rho)
-        if not tz._within(trace, 1.0, 1e-12):
+        if not tz._within(trace, 1.0, _SLACK):
             # the shortest text that reads back to the trace, so a trace just off 1 does not print as 1
             raise TraceNotOne(f"trace is {str(complex(trace)).strip('()')}, expected 1")
-        # Weyl: a 1e-12 slack in each entry moves the eigenvalues by at most (m+1) 1e-12, and eigvalsh's error is
+        # Weyl: the slack in each entry moves the eigenvalues by at most (m+1) times it, and eigvalsh's error is
         # a small multiple of eps times the norm, at most m+1 where every |rho_ij| <= 1, as in a state
         lowest = np.linalg.eigvalsh(0.5 * rho + 0.5 * rho.conj().T)[0]
-        if not lowest >= -(m + 1) * (1e-12 + 4 * (m + 1) * np.finfo(float).eps):  # nor a NaN, from an overflow
+        if not lowest >= -(m + 1) * (_SLACK + 4 * (m + 1) * np.finfo(float).eps):  # nor a NaN, from an overflow
             raise NotPositiveSemidefinite(f"rho is not positive semidefinite: it has the eigenvalue {lowest:.6g}")
         out = rho.copy()
         out.flags.writeable = False
@@ -156,25 +158,24 @@ def coefficient_tensor(state: SpinState) -> tz.DenseTensor:
     The state is lifted to the 2^m x 2^m matrix L = V rho V^H, whose axes
     are ordered (r1, c1, ..., rm, cm); the conjugate Pauli table then maps
     each site's pair (r, c) to its label, since tr(L sigma) sums
-    L[r, c] conj(sigma[r, c]) for Hermitian sigma.  A tensor beyond the
-    float range raises NonFiniteValue.  The state was validated when it was
-    built, so nothing else is re-checked: its anti-Hermitian part and its
-    trace's distance from 1 are at most 1e-12, so each |Im A_mu| is at most
-    (m+1)^2 times that plus rounding (the imaginary part is dropped) and
-    A_0...0 = tr rho is 1 to that and rounding; A is permutation symmetric
-    because V's columns are.
+    L[r, c] conj(sigma[r, c]) for Hermitian sigma.  The state was validated
+    when it was built, so nothing is re-checked.  Each S_mu compresses a
+    unitary Pauli string, so its norm is at most 1, and rho is positive
+    semidefinite and of trace 1 to the validation slack, so every |A_mu| is
+    at most 1 plus that slack and rounding: A is finite.  rho's
+    anti-Hermitian part and its trace's distance from 1 are at most 1e-12,
+    so each |Im A_mu| is at most (m+1)^2 times that plus rounding (the
+    imaginary part is dropped) and A_0...0 = tr rho is 1 to that and
+    rounding; A is permutation symmetric because V's columns are.
     """
     m = state.m
     if m < 2:
         raise OrderTooLarge("coefficient tensor needs 2j >= 2")
     V = dicke_isometry(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        L = (V @ state.rho @ V.conj().T).reshape((2,) * (2 * m))
-        # order the axes (r1, c1, ..., rm, cm), so each site's pair (r, c) is one axis
-        A = _each_site(L.transpose(np.arange(2 * m).reshape(2, m).T.ravel()), _SITE.conj().T, m)
-    if not np.isfinite(A).all():
-        raise NonFiniteValue("the coefficient tensor is beyond the float range")
-    return tz.DenseTensor._wrap(np.ascontiguousarray(A.real))
+    L = (V @ state.rho @ V.conj().T).reshape((2,) * (2 * m))
+    # order the axes (r1, c1, ..., rm, cm), so each site's pair (r, c) is one axis
+    A = _each_site(L.transpose(np.arange(2 * m).reshape(2, m).T.ravel()), _SITE.conj().T, m)
+    return tz.DenseTensor(A.real)
 
 
 def reconstruct_state(coeff: tz.DenseTensor) -> SpinState:
@@ -183,8 +184,9 @@ def reconstruct_state(coeff: tz.DenseTensor) -> SpinState:
     The Pauli table maps each label to its site's pair (r, c); the pairs
     are regrouped into the rows and columns of the 2^m x 2^m sum, which V
     compresses to the Dicke basis.  An order above MAX_ORDER raises
-    OrderTooLarge before any work, and a state beyond the float range
-    raises NonFiniteValue.
+    OrderTooLarge before any work.  The tensor is the caller's, so a sum
+    may pass the float range; the inf or nan it leaves in rho makes
+    ``spin_state`` raise NonFiniteValue.
     """
     if coeff.dim != 4:
         raise TgmatError("coefficient tensor must have dimension 4")
@@ -195,8 +197,6 @@ def reconstruct_state(coeff: tz.DenseTensor) -> SpinState:
         # the axes are (r1, c1, ..., rm, cm); regroup them into rows and columns
         K = T.transpose(np.arange(2 * m).reshape(m, 2).T.ravel()).reshape(2 ** m, 2 ** m)
         rho = V.conj().T @ K @ V / 2 ** m
-    if not np.isfinite(rho).all():
-        raise NonFiniteValue("the reconstructed state is beyond the float range")
     return spin_state(m, rho)
 
 
@@ -233,7 +233,7 @@ def classical_mixture(m: int, weights, directions) -> SpinState:
         raise WeightMismatch("weights must be positive")
     with np.errstate(over="ignore"):
         total = weights.sum()
-    if not tz._within(total, 1.0, 1e-12):
+    if not tz._within(total, 1.0, _SLACK):
         raise WeightMismatch(f"weights sum to {total:.6g}, expected 1")
     rho = np.zeros((m + 1, m + 1), dtype=complex)
     for w, (theta, phi) in zip(weights, directions):

@@ -17,7 +17,7 @@ tests and the eigenvalue inclusion regions, and the deleted row sum of the
 tensor itself satisfies r_i = s_ii + P_i.  The tensor's digraph has an edge
 i -> j (i != j) where (m-1) s_ij, the sum, is nonzero.  ``generated_matrix``
 builds this record on its first call for a tensor, from the stored list or
-in one pass over the rows of |A|, and keeps it on the tensor.
+from whole-array sums over |A|, and keeps it on the tensor.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ class DenseTensor:
     values, sorted by position in the array, listed zeros and -0.0
     included; a tensor made from an array has no list.  ``_record`` holds
     the generated-matrix record once ``generated_matrix`` has built it.
+
+    ``DenseTensor(arr)`` copies ``arr`` and checks that it is finite.  The
+    record and the certificate re-check of such a tensor each sum over a
+    temporary copy of |A| as large as the array: 128 MiB at the 2^24
+    entries of ``MAX_ENTRIES``.  A list-built tensor makes no such copy.
     """
 
     __slots__ = ("order", "dim", "_entries", "_written", "_record")
@@ -88,21 +93,11 @@ class DenseTensor:
             raise TgmatError("tensor dimension must be at least 1")
         if not np.all(np.isfinite(arr)):
             raise NonFiniteValue("tensor entries must be finite")
-        self._own(arr)
-
-    def _own(self, arr: np.ndarray) -> None:
         arr.flags.writeable = False
         self.order = arr.ndim
-        self.dim = arr.shape[0]
+        self.dim = n
         self._entries = arr
         self._written = self._record = None
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "DenseTensor":
-        """The tensor of a fresh cubical float array of finite entries, which it takes over without a copy."""
-        t = cls.__new__(cls)
-        t._own(arr)
-        return t
 
     @classmethod
     def _from_list(cls, order: int, dim: int, written) -> "DenseTensor":
@@ -338,12 +333,11 @@ def diagonal(t: DenseTensor) -> np.ndarray:
     return d
 
 
-def _off_rows(t: DenseTensor):
-    """Each |A[i]| in turn, a fresh C-order copy with its diagonal tuple (i, ..., i) set to 0."""
-    for i, p in enumerate(_diagonal_positions(t.order - 1, t.dim).tolist()):  # p: where (i, ..., i) sits in row i
-        row = np.abs(t.entries[i], order="C")  # the same sums whatever the tensor's memory layout
-        row.flat[p] = 0.0
-        yield row
+def _off_abs(t: DenseTensor) -> np.ndarray:
+    """|A| as a fresh C-order array with its diagonal tuples (i, ..., i) set to 0."""
+    A = np.abs(t.entries, order="C")  # the same sums whatever the tensor's memory layout
+    A.flat[_diagonal_positions(t.order, t.dim)] = 0.0
+    return A
 
 
 def _bit_weights(k: int) -> np.ndarray:
@@ -373,33 +367,31 @@ def _row_pass(t: DenseTensor):
     """The deleted row sums r, and (m - 1) s_ij before the division.
 
     Summed from the entry list, in the order of the positions, where the
-    tensor has one; otherwise from each |A[i]| taken once.
+    tensor has one; otherwise in whole-array reductions over one copy of
+    |A|.
     """
     m, n = t.order, t.dim
     if t._written is not None:
         rows, trailing, moduli = _off_entries(t)
         keys = (rows[:, None] * n + trailing).ravel()
         return _sum_by(rows, moduli, n), _sum_by(keys, np.repeat(moduli, m - 1), n * n).reshape(n, n)
-    # trailing axis k holds j: sum over all the others
-    others = [tuple(a for a in range(m - 1) if a != k) for k in range(m - 1)]
-    r, mass = np.empty(n), np.zeros((n, n))
-    for i, row in enumerate(_off_rows(t)):
-        r[i] = row.sum()
-        for other in others:
-            mass[i] += row.sum(axis=other)
-    return r, mass
+    A = _off_abs(t)
+    mass = np.zeros((n, n))
+    for k in range(m - 1):  # trailing axis k + 1 holds j: sum over all the others
+        mass += A.reshape(n, n ** k, n, -1).sum(axis=(1, 3))
+    return A.reshape(n, -1).sum(axis=1), mass
 
 
 def _off_mass(t: DenseTensor, y: np.ndarray) -> np.ndarray:
     """Each row's off-diagonal mass at y > 0: sum |a_{i i2...im}| y_{i2}...y_{im} over the tuples other than (i, ..., i).
 
-    Read from the entry list where the tensor has one, and otherwise one
-    row of |A| at a time, so that no copy of the whole tensor is made.  A
-    mass beyond the float range is inf, with no warning.
+    Read from the entry list where the tensor has one, and otherwise
+    contracted from one copy of |A|.  A mass beyond the float range is inf,
+    with no warning.
     """
     with np.errstate(over="ignore"):
         if t._written is None:
-            return np.array([_contract(row.reshape(1, -1), y[None], t.order - 1)[0, 0] for row in _off_rows(t)])
+            return _contract(_off_abs(t).reshape(t.dim, -1), y[None], t.order - 1)[0]
         rows, trailing, terms = _off_entries(t)
         for col in trailing.T[::-1]:  # the last index first, as _contract takes them
             terms = terms * y[col]

@@ -325,7 +325,7 @@ def reference_exact_2d(t):
     m = t.order
     amax = float(np.max(np.abs(t.entries)))
     e = int(np.frexp(amax)[1])
-    ts = DenseTensor._wrap(np.ldexp(t.entries, -e))
+    ts = DenseTensor(np.ldexp(t.entries, -e))
     c1, c2 = np.zeros(m), np.zeros(m)
     for c, arr in ((c1, ts.entries[0]), (c2, ts.entries[1])):
         for tup in np.ndindex(*([2] * (m - 1))):

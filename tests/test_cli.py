@@ -260,14 +260,14 @@ class TestCertify:
 
 
 class TestFileTensorsReadTheNonzeros:
-    """certify and gen-matrix on a tensor file sum the loader's nonzeros and never read a row of the dense array;
+    """certify and gen-matrix on a tensor file sum the loader's nonzeros and never take |A| of the dense array;
     they, bounds and region-grid never build it."""
 
     @pytest.fixture(autouse=True)
     def dense_rows_refused(self, monkeypatch):
         def refuse(t):
-            raise AssertionError("a row of the dense array was read")
-        monkeypatch.setattr(tz, "_off_rows", refuse)
+            raise AssertionError("|A| of the dense array was taken")
+        monkeypatch.setattr(tz, "_off_abs", refuse)
 
     @pytest.mark.parametrize("command", ["gen-matrix", "certify"])
     @pytest.mark.parametrize("order,dim,entries", [
@@ -340,6 +340,16 @@ class TestBounds:
                                       ["region-grid", "--kind", "stype", "--grid=0:1:0:1:2:2"]])
     def test_stype_asked_for_on_dim2_without_a_subset_is_data_error(self, capsys, f42, argv):
         assert run(capsys, *argv, "--input", f42) == (65, "", "tgmat: data error: stype needs a subset\n")
+
+    def test_default_kinds_for_dim1_skip_the_pair_kinds(self, capsys, tmp_path):
+        p = write_tensor(tmp_path / "t1.json", 3, 1, {(1, 1, 1): 2.5})
+        code, out, err = run(capsys, "bounds", "--input", p)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["kind,gamma,subset,lower,upper", "gershgorin,,,2.500000,2.500000",
+                                    "ostrowski,0.500000,,2.500000,2.500000", "ostrowski,0.040000,,2.500000,2.500000",
+                                    "gammamix,0.500000,,2.500000,2.500000", "gammamix,0.040000,,2.500000,2.500000"]
+        assert run(capsys, "bounds", "--input", p, "--kind", "cassini") == (
+            65, "", "tgmat: data error: cassini region needs dimension >= 2\n")
 
     def test_demo_44_table(self, capsys, f44):
         code, out, _ = run(capsys, "bounds", "--input", f44)

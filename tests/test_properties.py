@@ -531,5 +531,6 @@ def test_spin_maps_match_the_tensordot_references(state):
     assert same_bits(A.entries, reference_coefficient_tensor(state).entries)
     # the identities coefficient_tensor takes from a validated state without a run-time check
     assert abs(A.entries[(0,) * state.m] - 1) <= 1e-10
+    assert np.abs(A.entries).max() <= 1 + 1e-9
     assert classify_symmetry(A) != "none"
     assert same_bits(reconstruct_state(A).rho, reference_reconstruct(A).rho)

@@ -1,5 +1,7 @@
 """Dicke isometries, coefficient tensors, coherent states, classicality."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from tgmat.spin import (
     spin_state,
     state_from_json,
 )
-from tgmat.tensor import diagonal, poly_values, zero_tensor
+from tgmat.tensor import DenseTensor, diagonal, poly_values, zero_tensor
 
 
 def random_state(rng, m):
@@ -208,6 +210,13 @@ class TestCoefficientTensor:
         for dim in (2, 3, 5):
             with pytest.raises(TgmatError, match="dimension 4"):
                 reconstruct_state(zero_tensor(2, dim))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_reconstruction_beyond_the_float_range_is_non_finite(self, order):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteValue, match="rho has an entry that is not finite"):
+                reconstruct_state(DenseTensor(np.full((4,) * order, 1e308)))
 
     def test_reconstruction_rejects_a_large_order_before_any_work(self, monkeypatch):
         monkeypatch.setattr(spin, "_each_site", lambda *args: pytest.fail("the 4^m transform ran"))
