@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import operator
 import os
 import stat
 import sys
@@ -32,6 +31,9 @@ EXIT_DATA = 65
 
 DEFAULT_GAMMAS = (0.5, 0.04)
 DEFAULT_SUBSET = (1, 2)
+
+# grid cells whose text region-grid gathers at once
+_GRID_BLOCK = 2 ** 13
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,15 +174,17 @@ def cmd_region_grid(args) -> int:
     region = reg.build_region(t, args.kind, gamma=args.gamma, subset=subset)
     res, ims, member = reg.grid_sample(region, (re0, re1), (im0, im1), nx, ny)
     # the ",im,member" tail of every cell, flat: (im j, member b) sits at 2 j + b
-    cells = [f",{i:.9g},{b}" for i in ims.tolist() for b in (0, 1)]
+    cells = np.array([f",{i:.9g},{b}" for i in ims.tolist() for b in (0, 1)], dtype=object)
     column = 2 * np.arange(ny)
+    block = max(1, _GRID_BLOCK // ny)
 
     def rows():  # one grid row at a time: the text of the whole grid is never held
         yield "re,im,member"
-        for r, row in zip(res.tolist(), member):
-            text = f"{r:.9g}"
-            # ny >= 2, so itemgetter returns a tuple, never one bare string
-            yield text + ("\n" + text).join(operator.itemgetter(*(column + row).tolist())(cells))
+        # the tails of a block of rows (about _GRID_BLOCK cells, or one row) in one gather
+        for k in range(0, nx, block):
+            for r, row in zip(res[k:k + block].tolist(), cells[column + member[k:k + block]].tolist()):
+                text = f"{r:.9g}"
+                yield text + ("\n" + text).join(row)
 
     _emit(rows(), args.output)
     return EXIT_OK

@@ -184,8 +184,12 @@ def _newton(A, B, m, X, L, halvings=_HALVINGS, tol=_TOL, steps=_MAX_ITER):
 
     Each start first tries the full step; a start that rejects it takes the
     first of ``halvings`` that lowers its residual, all of them evaluated in
-    one stacked call.  Scaling by a power of two is exact, so this is the
-    halving a one-at-a-time search would take.  A start stops when its
+    one stacked call.  The step lengths are exact powers of two, but the
+    residuals are not independent of the stack: the first product in
+    ``tz._contract`` is one matrix product over all rows, whose last bits
+    depend on how many rows it has.  So a start's path and the last bits of
+    its result depend on the number of starts stepped with it, and a
+    one-at-a-time search may take another halving.  A start stops when its
     residual is within ``tol``, when its Jacobian is singular or when no
     step length lowers its residual.  The defaults are the damped search;
     with no halvings, ``tol`` 0 and ``_POLISH_STEPS`` steps it is the
@@ -236,7 +240,8 @@ def h_eigen_newton(t: tz.DenseTensor, starts: int = 2000, seed: int = 1) -> list
     step alone, then kept when the residual is within 1e-8 max(|lam|, max|a|)
     and deduplicated by eigenvalue within 1e-6.  The starts are taken from
     the seed's stream in chunks of a fixed size, and all starts of a chunk
-    take each step together.  The returned set is whatever the starts found;
+    take each step together, so the last bits of a result depend on that
+    size (see ``_newton``).  The returned set is whatever the starts found;
     completeness is not claimed.
     """
     rng = np.random.default_rng(seed)

@@ -10,8 +10,10 @@ degenerate brackets are always included.
 
 The pair kinds test every index pair (i, j) at once: ``build_region``
 stores the pair index arrays with the z-independent offsets and right-hand
-sides, and membership broadcasts one test over (points, pairs) for each
-fixed-size chunk of points.
+sides, and membership broadcasts one test over (pairs, points) for each
+fixed-size chunk of points.  The points lie on the last, contiguous axis:
+f is (n, points), the brackets are row gathers of f, and every reduction
+runs over axis 0.  A point with a NaN part is a member of no region.
 
 Real-axis bounds are closed-form: a disc reaches a_i -+ (s_ii + radius_i),
 and a pair the roots of a quadratic.  Each end is rounded outward by a bound
@@ -144,39 +146,59 @@ def build_region(t: tz.DenseTensor, kind: str, gamma: Optional[float] = None,
 
 
 def membership(region: Region, z) -> bool | np.ndarray:
-    """Whether z (scalar or array of complex) belongs to the region, tested in fixed-size chunks of points."""
+    """Whether z (scalar or array of complex) belongs to the region, tested in fixed-size chunks of points.
+
+    A point with a NaN part belongs to no region.
+    """
     za = np.asarray(z, dtype=complex)
     flat = za.ravel()
     G, pairs = region.stats, region.pairs
-    test = _disc_test if pairs is None else _pair_test
+    test = _disc_test(region.radius) if pairs is None else _pair_test(pairs)
+    centre, s_diag = G.diagonal[:, None], G.s_diag[:, None]
     step = max(1, _CHUNK_ELEMENTS // max(G.dim, len(pairs.i) if pairs else 0))
     member = np.empty(flat.shape, dtype=bool)
-    for s in range(0, len(flat), step):
-        # f_i(z) = |z - a_{i...i}| - s_ii, shape (points, n)
-        f = np.abs(flat[s:s + step, None] - G.diagonal) - G.s_diag
-        member[s:s + step] = test(region, f)
+    # a distance |z - a_i| beyond the float range overflows to inf, farther
+    # than every finite radius and offset, as it should; for the overflows
+    # and nans of the pair products see _pair_test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, len(flat), step):
+            # f_i(z) = |z - a_{i...i}| - s_ii, shape (n, points)
+            f = np.abs(flat[s:s + step] - centre) - s_diag
+            member[s:s + step] = test(f)
+    member[np.isnan(flat)] = False
     return bool(member[0]) if za.ndim == 0 else member.reshape(za.shape)
 
 
-def _disc_test(region: Region, f: np.ndarray) -> np.ndarray:
-    return leq(f, region.radius).any(axis=-1)
+def _disc_test(radius: np.ndarray):
+    """The test of a disc kind on f of shape (n, points): f_i <= radius_i for some row i."""
+    radius = radius[:, None]
+    return lambda f: leq(f, radius).any(axis=0)
 
 
-def _pair_test(region: Region, f: np.ndarray) -> np.ndarray:
-    I, J, off_i, off_j, rhs = region.pairs
-    bi = f[:, I] - off_i
-    bj = f[:, J] - off_j
-    # A point is excluded only when the signed brackets are positive: the
-    # exclusion argument runs through strict dominance of the shifted tensor's
-    # generated matrix, whose diagonal is f itself, so a negative f with a
-    # large |f| proves nothing.  Far from the tensor's scale bi * bj may
-    # overflow; it counts only where both brackets are positive, and there
-    # +inf beats every finite rhs, as it should.  An infinite rhs, from
-    # statistics beyond sqrt of the largest float, excludes nothing: against
-    # it inf - inf is nan, and a nan margin test is False.
-    with np.errstate(over="ignore", invalid="ignore"):
+def _pair_test(pairs: _PairTest):
+    """The test of a pair kind on f of shape (n, points): no pair excludes the point.
+
+    A point is excluded only when the signed brackets are positive: the
+    exclusion argument runs through strict dominance of the shifted tensor's
+    generated matrix, whose diagonal is f itself, so a negative f with a
+    large |f| proves nothing.  Far from the tensor's scale bi * bj may
+    overflow; it counts only where both brackets are positive, and there
+    +inf beats every finite rhs, as it should.  An infinite rhs, from
+    statistics beyond sqrt of the largest float, excludes nothing: against
+    it inf - inf is nan, and a nan margin test is False.  ``membership``
+    runs the test with these warnings off.
+    """
+    I, J, off_i, off_j, rhs = pairs
+    off_i, off_j, rhs = off_i[:, None], off_j[:, None], rhs[:, None]
+
+    def test(f: np.ndarray) -> np.ndarray:
+        # (pairs, points) brackets from row gathers of f
+        bi = f[I] - off_i
+        bj = f[J] - off_j
         excluded = positive(bi) & positive(bj) & gt(bi * bj, rhs)
-    return ~excluded.all(axis=-1)
+        return ~excluded.all(axis=0)
+
+    return test
 
 
 def real_bounds(regions: Region | Sequence[Region]) -> RealBounds | list[RealBounds]:
@@ -222,16 +244,25 @@ def real_bounds(regions: Region | Sequence[Region]) -> RealBounds | list[RealBou
         # and M = sum of |a| + s + |off| over both rows: u and v are off by eps M,
         # u - v and u + v by 1.5 eps M, 2 sqrt(rhs) by eps / 2 of itself.  hypot is
         # 1-Lipschitz per argument and within one ulp, so h is off by 1.5 eps
-        # (M + h); the difference adds eps / 2 (M + h) and the halving is exact,
-        # leaving 1.75 eps M + eps h.  The root is at most (M + h) / 2 in size, so
-        # subtracting err rounds by about eps / 4 (M + h).  3 eps (M + h) covers
-        # all of it, the second-order terms and the rounding of err itself.  In the
-        # subnormal range hypot, the halving and err add at most 2.5 * 2**-1074,
-        # covered by 2**-1072; that term is smaller only when M + h is, and then
-        # every step is exact.  M is the same for a region and its mirror image.
-        size = (np.abs(aI[0]) + sI + np.abs(off_i) + np.abs(aJ[0]) + sJ + np.abs(off_j)) + h
-        err = 3.0 * _EPS * size + np.minimum(size, 2.0 ** -1072)
-        ends = np.minimum.reduceat(0.5 * ((u + v) - h) - err, starts, axis=1)
+        # (M + h); the difference adds eps / 2 (M + h), leaving 1.75 eps M + eps h.
+        # The root is at most (M + h) / 2 in size, so subtracting err rounds by
+        # about eps / 4 (M + h).  3 eps (M + h) covers all of it, the second-order
+        # terms and the rounding of err itself.  The root and M + h are formed from
+        # halves, which are exact in the float range: there they give the bits of
+        # 0.5 ((u + v) - h) and of 3 eps (M + h), and they stay finite where u + v
+        # or M + h would overflow, as for centres near 1e308.  In the subnormal
+        # range hypot adds at most 2**-1074, each of the three halvings of the root
+        # 2**-1075, and err and its subtraction 2**-1075 each, at most 3.5 * 2**-1074
+        # in all, covered by 2**-1072.  That term is smaller only when M + h is,
+        # below 4 * 2**-1074: then rhs is at most 0, u, v and h = |u - v| are exact, and the
+        # root, off by at most 1.5 * 2**-1074 and a multiple of 2**-1074 like the
+        # true root, is off by at most 2**-1074 <= M + h, or by nothing where M + h
+        # is 0.  M is the same for a region and its mirror image.
+        terms = np.abs([dI, sI, off_i, dJ, sJ, off_j])
+        size = sum(terms) + h  # M + h, inf beyond the float range
+        half = sum(0.5 * terms) + 0.5 * h
+        err = 6.0 * _EPS * half + np.minimum(size, 2.0 ** -1072)
+        ends = np.minimum.reduceat((0.5 * u + 0.5 * v - 0.5 * h) - err, starts, axis=1)
     ends = np.fmax(ends, -np.inf)  # a nan end becomes -inf
     bounds = [RealBounds(lower, -mirrored) for lower, mirrored in zip(*ends.tolist())]
     return bounds[0] if single else bounds

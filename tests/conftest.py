@@ -246,7 +246,8 @@ def reference_tensor_from_json(obj):
 def reference_real_bounds(region):
     """One region's real bounds, the closed form evaluated on that region alone.
 
-    The per-region body ``real_bounds`` had before it took lists: the same
+    The per-region body ``real_bounds`` had before it took lists, with the
+    root and M + h formed from halves as the kernel forms them now: the same
     elementwise steps, so the batched kernel must match it bit for bit.
     """
     G, pairs = region.stats, region.pairs
@@ -259,8 +260,10 @@ def reference_real_bounds(region):
     v = a[:, J] - (s[J] + off_j)
     h = np.hypot(u - v, 2.0 * np.sqrt(np.maximum(rhs, 0.0)))
     size = np.abs(a[:, I]) + s[I] + np.abs(off_i) + np.abs(a[:, J]) + s[J] + np.abs(off_j) + h
-    err = 3.0 * np.finfo(float).eps * size + np.minimum(size, 2.0 ** -1072)
-    lower, mirrored = np.min(0.5 * ((u + v) - h) - err, axis=1)
+    half = (0.5 * np.abs(a[:, I]) + 0.5 * s[I] + 0.5 * np.abs(off_i)
+            + 0.5 * np.abs(a[:, J]) + 0.5 * s[J] + 0.5 * np.abs(off_j) + 0.5 * h)
+    err = 6.0 * np.finfo(float).eps * half + np.minimum(size, 2.0 ** -1072)
+    lower, mirrored = np.min((0.5 * u + 0.5 * v - 0.5 * h) - err, axis=1)
     return RealBounds(float(lower), -float(mirrored))
 
 

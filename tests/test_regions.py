@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import ENTRIES_STYPE_CANCEL, random_sparse_tensor
+from tgmat import regions
 from tgmat.compare import gt, leq
 from tgmat.errors import BadGrid, BadSubset, GammaOutOfRange, WrongDimension
 from tgmat.oracle import h_eigen_exact_2d
@@ -16,38 +17,38 @@ from tgmat.tensor import DenseTensor, build_tensor, diagonal, generated_matrix, 
 
 
 def reference_membership(region, z):
-    """Membership with one loop iteration per index pair, z of any shape."""
+    """Membership with one loop iteration per index pair, z of any shape; a NaN point is no member."""
     z = np.asarray(z, dtype=complex)
     G = region.stats
     P, S, n = G.P, G.S, G.dim
-    f = np.abs(z[..., None] - G.diagonal) - G.s_diag
-    if region.kind in ("gershgorin", "ostrowski", "gammamix"):
-        return leq(f, region.radius).any(axis=-1)
-    member = np.zeros(z.shape, dtype=bool)
-    if region.kind == "cassini":
-        for i in range(n):
-            for j in range(i + 1, n):
-                fi, fj = f[..., i], f[..., j]
-                member |= ~(gt(fi, 0.0) & gt(fj, 0.0) & gt(fi * fj, P[i] * P[j]))
-        return member
-    if region.kind == "stype":
-        sub0 = [i - 1 for i in region.subset]
-        comp0 = [j for j in range(n) if j + 1 not in region.subset]
-        rS = np.array([sum(S[i, j] for j in sub0 if j != i) for i in range(n)])
-        rC = P - rS
-        for i in sub0:
-            for j in comp0:
-                bi = f[..., i] - rS[i]
-                bj = f[..., j] - rC[j]
-                member |= ~(gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rC[i] * rS[j]))
-        return member
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                bi = f[..., i]
-                bj = f[..., j] - (P[j] - S[j, i])
-                member |= ~(gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, P[i] * S[j, i]))
-    return member
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = np.abs(z[..., None] - G.diagonal) - G.s_diag
+        member = np.zeros(z.shape, dtype=bool)
+        if region.kind in ("gershgorin", "ostrowski", "gammamix"):
+            member = leq(f, region.radius).any(axis=-1)
+        elif region.kind == "cassini":
+            for i in range(n):
+                for j in range(i + 1, n):
+                    fi, fj = f[..., i], f[..., j]
+                    member |= ~(gt(fi, 0.0) & gt(fj, 0.0) & gt(fi * fj, P[i] * P[j]))
+        elif region.kind == "stype":
+            sub0 = [i - 1 for i in region.subset]
+            comp0 = [j for j in range(n) if j + 1 not in region.subset]
+            rS = np.array([sum(S[i, j] for j in sub0 if j != i) for i in range(n)])
+            rC = P - rS
+            for i in sub0:
+                for j in comp0:
+                    bi = f[..., i] - rS[i]
+                    bj = f[..., j] - rC[j]
+                    member |= ~(gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, rC[i] * rS[j]))
+        else:
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        bi = f[..., i]
+                        bj = f[..., j] - (P[j] - S[j, i])
+                        member |= ~(gt(bi, 0.0) & gt(bj, 0.0) & gt(bi * bj, P[i] * S[j, i]))
+    return member & ~np.isnan(z)
 
 
 def exact_real_extent(region):
@@ -180,6 +181,37 @@ class TestMembership:
                 assert np.array_equal(membership(reg, xs), reference_membership(reg, xs))
 
 
+# points with a NaN part, and far, huge and subnormal ones; each infinite or NaN part is
+# built directly (1j * inf would give a NaN real part)
+NAN_POINTS = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(1.0, math.nan),
+              complex(math.inf, math.nan), complex(math.nan, math.nan)]
+EXTREME_POINTS = NAN_POINTS + [
+    complex(math.inf, 0.0), complex(-math.inf, 0.0), complex(0.0, math.inf), complex(2.0, -math.inf),
+    complex(math.inf, math.inf), 1e308, -1e308, complex(1e308, 1e308), complex(-1.5e308, 1.7e308),
+    5e-324, complex(0.0, 5e-324), complex(-2.2e-308, 1e-310),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+def test_membership_matches_the_reference_in_any_chunk(monkeypatch, t44, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(regions, "_CHUNK_ELEMENTS", chunk)
+    rng = np.random.default_rng(31)
+    tensors = [t44] + [random_sparse_tensor(rng, dim=int(rng.integers(3, 6))) for _ in range(3)]
+    for t in tensors:
+        for reg in every_region(t, rng):
+            near = rng.uniform(-12, 12, 23) + 1j * rng.uniform(-4, 4, 23)
+            z = np.concatenate([near, EXTREME_POINTS])
+            rng.shuffle(z)
+            for point in z:
+                got = membership(reg, point)
+                assert type(got) is bool and got == reference_membership(reg, point), (reg.kind, point)
+            for shaped in (z, z.reshape(8, 5)):
+                got = membership(reg, shaped)
+                assert got.dtype == bool and np.array_equal(got, reference_membership(reg, shaped)), reg.kind
+            assert not membership(reg, np.array(NAN_POINTS)).any()
+
+
 class TestRealBounds:
     def test_demo_cassini_closed_form(self, t42):
         reg = build_region(t42, "cassini")
@@ -306,10 +338,25 @@ class TestOverflowingStatistics:
             assert rb.lower <= 1.0 - 1e160 and rb.upper >= 1.0 + 1e160
 
     def test_overflowing_root_widens_to_the_axis(self):
-        # u + v overflows to inf, the root is inf - inf = nan, and a nan end reads as -inf
+        # the pair products, 1e320, overflow: an infinite rhs excludes nothing
         t = DenseTensor(np.array([[1e308, 1e160], [1e160, 1e308]]))
-        for kind in ("gershgorin", "cassini", "ssingleton"):
+        for kind in ("cassini", "ssingleton"):
             assert real_bounds(build_region(t, kind)) == RealBounds(-math.inf, math.inf)
+
+    def test_distances_beyond_the_float_range_warn_nothing(self):
+        # |z - a| overflows to inf, beyond every radius; the infinite rhs of the pairs excludes nothing
+        t = DenseTensor(np.array([[1e308, 1e160], [1e160, 1e308]]))
+        z = np.array([-1e308, complex(-1e308, 1e308), 1e308])
+        assert membership(build_region(t, "gershgorin"), z).tolist() == [False, False, True]
+        assert membership(build_region(t, "cassini"), z).all()
+
+    def test_disc_ends_near_the_largest_float_are_finite(self):
+        # u + v and M + h would overflow; their halves do not
+        t = DenseTensor(np.array([[1e308, 1e160], [1e160, 1e308]]))
+        rb = real_bounds(build_region(t, "gershgorin"))
+        assert math.isfinite(rb.lower) and math.isfinite(rb.upper)
+        assert rb.lower <= 1e308 - 1e160 and rb.upper >= 1e308 + 1e160
+        assert rb.lower > 0.9999999e308 and rb.upper < 1.0000001e308
 
 
 class TestRegionRelations:
