@@ -277,7 +277,7 @@ def certify_classicality(state: SpinState) -> ClassicalityVerdict:
     G = tz.generated_matrix(coeff)
     diag = G.diagonal
     symmetry = tz.classify_symmetry(coeff)
-    if np.min(diag) < -1e-12:
+    if np.min(diag) < -_SLACK:
         return ClassicalityVerdict(
             "inconclusive",
             reason=f"negative diagonal entry {np.min(diag):.3e}",

@@ -2,7 +2,9 @@
 
 An order-m, dimension-n tensor is an m-way numpy array of shape (n, ..., n);
 a tensor built from a list of entries stores the list, as sorted index rows,
-and builds that array on its first read.  User-facing indices are 1-based;
+and builds that array on its first read.  A symmetrized list is stored by
+class: one row per multiset of indices and per distinct index leading it,
+with the number of the tuples it stands for.  User-facing indices are 1-based;
 the stored rows and the underlying array are 0-based, as numpy indexes.
 
 The central statistic is the position-weighted row sum
@@ -69,10 +71,14 @@ class DenseTensor:
     ``zero_tensor``) stores that list: its dense array is built from the
     list on the first read of ``entries``, so a caller that reads only the
     generated matrix or the diagonal never allocates it.  ``_written`` holds
-    the list as read-only 0-based index rows (shape (k, m)) and their
-    values, sorted by position in the array, listed zeros and -0.0
-    included; a tensor made from an array has no list.  ``_record`` holds
-    the generated-matrix record once ``generated_matrix`` has built it.
+    the list as read-only 0-based index rows (shape (k, m)), their values
+    and their counts, sorted by position in the array, listed zeros and
+    -0.0 included; a tensor made from an array has no list.  The counts are
+    None for a list written as given.  A symmetrized list holds one row per
+    class of tuples equal up to order and per distinct index i in it: i,
+    then the rest of the class in ascending order, counting the class's
+    tuples that start with i.  ``_record`` holds the generated-matrix
+    record once ``generated_matrix`` has built it.
 
     ``DenseTensor(arr)`` copies ``arr`` and checks that it is finite.  The
     record and the certificate re-check of such a tensor each sum over a
@@ -101,7 +107,10 @@ class DenseTensor:
 
     @classmethod
     def _from_list(cls, order: int, dim: int, written) -> "DenseTensor":
-        """The tensor of checked, distinct, sorted index rows and finite values, its dense array not yet built."""
+        """The tensor of checked, distinct index rows sorted by position, their finite values and counts (or None)."""
+        for part in written:
+            if part is not None:
+                part.flags.writeable = False
         t = cls.__new__(cls)
         t.order, t.dim = order, dim
         t._entries = t._record = None
@@ -110,11 +119,22 @@ class DenseTensor:
 
     @property
     def entries(self) -> np.ndarray:
-        """The read-only dense array, built from the stored list on the first read."""
+        """The read-only dense array, built from the stored list on the first read.
+
+        A class row's value is written at its row, and then each position
+        (i, i2, ..., im) takes the value at (i, sorted(i2, ..., im)): m - 1
+        rounds of odd-even transposition on the trailing axes, each a
+        compare-exchange of neighbouring axes over the whole array.
+        """
         if self._entries is None:
-            cols, vals = self._written
-            arr = np.zeros((self.dim,) * self.order)
+            cols, vals, counts = self._written
+            m, at = self.order, np.arange(self.dim)
+            arr = np.zeros((self.dim,) * m)
             arr[tuple(cols.T)] = vals
+            for k in range(m - 1 if counts is not None else 0):
+                for a in range(1 + k % 2, m - 1, 2):
+                    ordered = (at[:, None] < at).reshape((1,) * a + (self.dim,) * 2 + (1,) * (m - a - 2))
+                    arr = np.where(ordered, arr, arr.swapaxes(a, a + 1))
             arr.flags.writeable = False
             self._entries = arr
         return self._entries
@@ -223,69 +243,39 @@ def _float_array(xs) -> np.ndarray:
         return np.array([x if abs(x) <= sys.float_info.max else math.inf if x > 0 else -math.inf for x in xs], dtype=float)
 
 
-def _repeats(pos: np.ndarray):
-    """The stable sort order of ``pos`` and the mask of its entries equal to an earlier entry.
-
-    Found by a stable sort and a comparison of neighbours: numpy's unique
-    costs about 12 ms of imports on its first call in a process.
-    """
-    by_pos = np.argsort(pos, kind="stable")
-    repeated = np.zeros(len(pos), dtype=bool)
-    repeated[by_pos[1:]] = pos[by_pos[1:]] == pos[by_pos[:-1]]
-    return by_pos, repeated
-
-
 def _label(rows, p: int) -> tuple:
     """Row p of the index rows as a tuple of ints, to name it in an error."""
     return tuple(map(int, rows[p]))
 
 
-def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray, symmetric: bool = False) -> DenseTensor:
-    """The dense tensor holding ``vals`` at the 1-based index rows ``idx`` (``rows`` names them in errors).
+def _assemble(order: int, dim: int, rows, idx: np.ndarray, vals: np.ndarray) -> DenseTensor:
+    """The tensor holding ``vals`` at the 1-based index rows ``idx`` (``rows`` names them in errors).
 
     Raises for the first row that lies outside 1..dim, repeats an earlier
     row or holds a value that is not finite, tried in that order within a
-    row.  With ``symmetric`` each value is also written at every
-    permutation of its row.  The tensor stores the entries written, sorted
-    by position; its dense array is built on the first read.
+    row.  The tensor stores the rows and values, sorted by position; its
+    dense array is built on the first read.
     """
     if order < 2:
         raise TgmatError("order must be at least 2")
     if dim < 1:
         raise TgmatError("dim must be at least 1")
     _check_size(order, dim)
-    strides = dim ** np.arange(order - 1, -1, -1)
     inside = ((idx >= 1) & (idx <= dim)).all(axis=1)
     cols = idx - 1
-    # a row out of range gets a position of its own, so it repeats no other row
-    pos = np.where(inside, cols @ strides, -1 - np.arange(len(idx)))
-    by_pos, repeated = _repeats(pos)
+    # a row out of range gets a position of its own, so it repeats no other row; the repeats are
+    # found by a stable sort and a comparison of neighbours, as numpy's unique costs about 12 ms
+    # of imports on its first call in a process
+    pos = np.where(inside, cols @ dim ** np.arange(order - 1, -1, -1), -1 - np.arange(len(idx)))
+    by_pos = np.argsort(pos, kind="stable")
+    repeated = np.zeros(len(pos), dtype=bool)
+    repeated[by_pos[1:]] = pos[by_pos[1:]] == pos[by_pos[:-1]]
     _raise_first([
         (~inside, lambda p: IndexOutOfRange(f"index tuple {_label(rows, p)} outside 1..{dim}")),
         (repeated, lambda p: DuplicateEntry(f"index tuple {_label(rows, p)} listed twice")),
         (~np.isfinite(vals), lambda p: NonFiniteValue(f"entry {_label(rows, p)} is not finite")),
     ])
-    if symmetric:
-        # swapping neighbouring components reaches every distinct permutation of a row; a
-        # position met before is not followed again, so the work grows with the positions written
-        swaps = [np.r_[:a, a + 1, a, a + 2:order] for a in range(order - 1)]
-        seen = pos[by_pos]  # the positions written so far, sorted
-        written = [(cols, vals, pos)]
-        perms, perm_vals = cols, vals
-        while len(perms):
-            perms = np.concatenate([perms[:, swap] for swap in swaps])
-            perm_vals = np.tile(perm_vals, order - 1)
-            at = perms @ strides
-            met = seen[np.minimum(np.searchsorted(seen, at), len(seen) - 1)] == at
-            fresh = ~met & ~_repeats(at)[1]  # one row per new position
-            perms, perm_vals, at = perms[fresh], perm_vals[fresh], at[fresh]
-            seen = np.sort(np.concatenate([seen, at]))
-            written.append((perms, perm_vals, at))
-        cols, vals, pos = map(np.concatenate, zip(*written))
-        by_pos = np.argsort(pos)
-    cols, vals = cols[by_pos], vals[by_pos]
-    cols.flags.writeable = vals.flags.writeable = False
-    return DenseTensor._from_list(order, dim, (cols, vals))
+    return DenseTensor._from_list(order, dim, (cols[by_pos], vals[by_pos], None))
 
 
 def build_tensor(order: int, dim: int, entries) -> DenseTensor:
@@ -326,7 +316,7 @@ def diagonal(t: DenseTensor) -> np.ndarray:
     """The signed diagonal entries a_{i...i} as a length-n vector, read from the entry list where the tensor has one."""
     if t._written is None:
         return t.entries.flat[_diagonal_positions(t.order, t.dim)]
-    cols, vals = t._written
+    cols, vals, _ = t._written
     on = (cols == cols[:, :1]).all(axis=1)
     d = np.zeros(t.dim)
     d[cols[on, 0]] = vals[on]
@@ -356,11 +346,15 @@ def _sum_by(keys: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 def _off_entries(t: DenseTensor):
     """The entry list's entries off the diagonal tuples: their rows, trailing index columns (shape (k, m - 1)) and moduli.
 
-    A listed zero's modulus, alone or times a finite y, adds +0.0 to sums of nonnegative terms, changing none.
+    A class row's modulus is multiplied by its count: the tuples it stands
+    for share its row, its trailing indices up to order and so every sum
+    below.  A listed zero's modulus, alone or times a finite y, adds +0.0 to
+    sums of nonnegative terms, changing none.
     """
-    cols, vals = t._written
+    cols, vals, counts = t._written
     off = (cols != cols[:, :1]).any(axis=1)
-    return cols[off, 0], cols[off, 1:], np.abs(vals[off])
+    moduli = np.abs(vals[off])
+    return cols[off, 0], cols[off, 1:], moduli if counts is None else moduli * counts[off]
 
 
 def _row_pass(t: DenseTensor):
@@ -572,13 +566,15 @@ def tensor_from_json(obj: dict) -> DenseTensor:
 
     ``{"order": m, "dim": n, "entries": [{"idx": [...], "val": v}, ...]}``
     with 1-based integer indices and omitted tuples equal to zero.  With
-    ``"symmetrize": true`` every listed entry is replicated over all
-    permutations of its tuple; conflicting replicas are rejected.  The flag
-    must be a boolean or null.  The entry list is checked in whole-list
-    passes, and walked entry by entry only to name the first faulty entry
-    or to read [re, im] pairs.  A tensor of more than ``MAX_ENTRIES``
-    entries is refused here; the tensor stores the entries written, and
-    its dense array is built on the first read of ``entries``.
+    ``"symmetrize": true`` every listed entry stands for all permutations
+    of its tuple; conflicting values in one class are rejected.  The
+    tensor then stores each class once per distinct index leading it, with
+    its count, and never the permutations themselves.  The flag must be a
+    boolean or null.  The entry list is checked in whole-list passes, and
+    walked entry by entry only to name the first faulty entry or to read
+    [re, im] pairs.  A tensor of more than ``MAX_ENTRIES`` entries is
+    refused here; its dense array is built on the first read of
+    ``entries``.
     """
     try:
         order, dim = _int_field(obj, "order"), _int_field(obj, "dim")
@@ -603,7 +599,7 @@ def tensor_from_json(obj: dict) -> DenseTensor:
         raise TgmatError(f"entry #{p}: expected an object with 'idx', a list of integers, and 'val'")
     if not symmetrize:
         return _assemble(order, dim, rows, idx, vals)
-    # one row per class of tuples equal up to order: its first listing, holding its last value
+    # one class per multiset of indices: its first listing, holding its last value
     keys = np.sort(idx, axis=1)
     by_key = np.lexsort([np.arange(len(rows)), *keys.T[::-1]])  # a class's rows stay in list order
     same = (keys[by_key[1:]] == keys[by_key[:-1]]).all(axis=1)
@@ -616,7 +612,26 @@ def tensor_from_json(obj: dict) -> DenseTensor:
     firsts, lasts = by_key[first], by_key[last]
     keep = np.argsort(firsts)
     firsts, lasts = firsts[keep], lasts[keep]
-    return _assemble(order, dim, [rows[q] for q in firsts], idx[firsts], vals[lasts], symmetric=True)
+    return _by_class(_assemble(order, dim, [rows[q] for q in firsts], keys[firsts], vals[lasts]))
+
+
+def _by_class(t: DenseTensor) -> DenseTensor:
+    """The symmetric tensor whose classes are the rows of ``t``, each listed once with its indices ascending.
+
+    Stores a row per class and per distinct index i in it: i, then the rest
+    of the class in ascending order, counting the class's tuples that start
+    with i, (m - 1)! / prod(multiplicities in the rest)!.
+    """
+    keys, vals, _ = t._written
+    c, a = np.nonzero(np.diff(keys, axis=1, prepend=-1))  # each class, and where each of its indices first shows
+    rest = np.arange(t.order - 1) + (np.arange(t.order - 1) >= a[:, None])
+    cols = keys[c[:, None], np.hstack([a[:, None], rest])]
+    counts = run = np.ones(len(cols), dtype=np.int64)
+    for k in range(2, t.order):  # the orderings of the rest's first k from those of its first k - 1
+        run = np.where(cols[:, k] == cols[:, k - 1], run + 1, 1)
+        counts = counts * k // run
+    by_pos = np.argsort(cols @ t.dim ** np.arange(t.order - 1, -1, -1))
+    return DenseTensor._from_list(t.order, t.dim, (cols[by_pos], vals[c[by_pos]], counts[by_pos]))
 
 
 def _read_json(path):

@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, formats, and exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -296,6 +297,24 @@ class TestFileTensorsReadTheNonzeros:
             tracemalloc.stop()
         assert code == 0 and out and err == ""
         assert peak < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("order,dim", [(8, 4), (6, 8)])
+    def test_symmetrize_file_is_read_by_class(self, capsys, tmp_path, order, dim):
+        # every class listed once (165 and 1,716 of them, standing for 65,536 and 262,144 tuples),
+        # with a dominant diagonal; expanding the classes into their tuples peaks at 16 and 51 MiB
+        classes = list(itertools.combinations_with_replacement(range(1, dim + 1), order))
+        p = tmp_path / "sym.json"
+        p.write_text(json.dumps({"order": order, "dim": dim, "symmetrize": True, "entries": [
+            {"idx": list(c), "val": float(dim) ** order if len(set(c)) == 1 else 1.0 / sum(c)} for c in classes]}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "certify", "--input", str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and out.startswith("verdict,certified_H\n") and err == ""
+        assert peak < 4 * 2 ** 20
+        assert len(tz.load_tensor(p)._written[0]) <= order * len(classes)
 
     @pytest.mark.parametrize("command", ["gen-matrix", "certify"])
     def test_shuffled_file_prints_the_same_bytes(self, capsys, tmp_path, command):

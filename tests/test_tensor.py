@@ -1,5 +1,7 @@
 """Tensor construction, row statistics, generated matrices, contractions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,21 +96,31 @@ class TestEntryList:
 
     def test_list_is_sorted_and_keeps_zeros(self):
         t = build_tensor(3, 2, [((2, 1, 1), 4.0), ((1, 2, 2), 0.0), ((1, 1, 2), -3.0), ((2, 2, 1), -0.0), ((1, 1, 1), 1.0)])
-        cols, vals = t._written
-        assert cols.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]]
+        cols, vals, counts = t._written
+        assert cols.tolist() == [[0, 0, 0], [0, 0, 1], [0, 1, 1], [1, 0, 0], [1, 1, 0]] and counts is None
         assert vals.tolist() == [1.0, -3.0, 0.0, 4.0, 0.0] and np.signbit(vals).tolist() == [False, True, False, False, True]
-        for part in t._written:
+        for part in (cols, vals):
             with pytest.raises(ValueError):
                 part[0] = 0
 
-    def test_symmetrized_list_holds_every_permutation(self):
+    def test_symmetrized_list_holds_one_row_per_class_and_first_index(self):
         t = tensor_from_json({"order": 3, "dim": 3, "symmetrize": True, "entries": [
             {"idx": [3, 1, 2], "val": 2.0}, {"idx": [1, 1, 2], "val": -1.0}, {"idx": [2, 2, 2], "val": 0.0}]})
-        cols, vals = t._written
-        pos = np.ravel_multi_index(tuple(cols.T), t.entries.shape)
-        assert np.all(np.diff(pos) > 0) and np.array_equal(vals, t.entries.flat[pos])
-        assert np.array_equal(pos[vals != 0.0], np.flatnonzero(t.entries)) and len(pos) == 6 + 3 + 1
-        assert cols[vals == 0.0].tolist() == [[1, 1, 1]]
+        cols, vals, counts = t._written
+        # each row is i and then the rest of its class in ascending order, sorted by position, with
+        # the number of the class's tuples that start with i
+        assert (cols + 1).tolist() == [[1, 1, 2], [1, 2, 3], [2, 1, 1], [2, 1, 3], [2, 2, 2], [3, 1, 2]]
+        assert vals.tolist() == [-1.0, 2.0, -1.0, 2.0, 0.0, 2.0] and counts.tolist() == [2, 2, 1, 2, 1, 2]
+        for part in t._written:
+            with pytest.raises(ValueError):
+                part[0] = 0
+        # a class's counts sum to its number of distinct permutations, each holding the class's value
+        for key, size in (((0, 1, 2), 6), ((0, 0, 1), 3), ((1, 1, 1), 1)):
+            in_class = (np.sort(cols, axis=1) == key).all(axis=1)
+            assert counts[in_class].sum() == size
+            perms = np.unique(np.array(list(itertools.permutations(key))), axis=0)
+            assert len(perms) == size and np.all(t.entries[tuple(perms.T)] == vals[in_class][0])
+        assert np.count_nonzero(t.entries) == 6 + 3
 
     def test_array_made_tensors_have_no_list(self, t42):
         assert all(t._written is None for t in (DenseTensor(t42.entries), scale_tensor(t42, np.ones(2))))
